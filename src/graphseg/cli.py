@@ -252,7 +252,6 @@ def cmd_bench(args):
     dataset = _load_dataset(args)
     spec = _weight_spec(args)
     cfg = _solver_config(args, args.n_e)
-    metric = "cosine_distance" if args.weight == "cosine" else args.metric
     try:
         report = run_benchmark(
             dataset,
@@ -262,7 +261,7 @@ def cmd_bench(args):
             per_class=args.fidelity_per_class,
             n_seeds=args.seeds,
             base_seed=args.seed,
-            metric=metric,
+            metric=args.metric,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -283,7 +282,8 @@ def _add_weight_flags(p):
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--m-scale", type=int, default=1)
     p.add_argument("--metric", choices=["euclidean", "cosine_distance"],
-                   default="euclidean")
+                   default=None,
+                   help="default: cosine_distance for cosine weights, else euclidean")
 
 
 def _add_solver_flags(p):

@@ -89,14 +89,15 @@ def run_benchmark(
     n_seeds=10,
     base_seed=0,
     eig_tol=1e-6,
-    metric="euclidean",
+    metric=None,
     basis=None,
 ):
     """Run the full pipeline n_seeds times over a shared graph and spectrum.
 
     Seed schedule is base_seed + run_index, applied to both fidelity
     sampling and solver initialization. `config` is a GLConfig or
-    MBOConfig matching `solver` ("gl" or "mbo"). A precomputed basis may
+    MBOConfig matching `solver` ("gl" or "mbo"). `metric` is passed to
+    knn_graph; None picks it from the weight kind. A precomputed basis may
     be supplied to skip the graph and eigenvector stages.
     """
     if solver not in ("gl", "mbo"):

@@ -166,12 +166,40 @@ def _pairwise_block(features, block, metric, sq_norms=None):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def knn_graph(features, spec, metric="euclidean"):
+def _nearest(dists, k):
+    """Column indices of the k smallest entries of each row of `dists`.
+
+    Returns the first k columns of the stable argsort of each row: ordered
+    by distance, ties broken by lower column index. np.argpartition picks
+    k candidates per row; they are sorted by index and then stable-sorted
+    by distance. A row with more than k entries at or below its k-th
+    distance ties at the cut-off, and argpartition may have picked any of
+    the tied columns, so that row is re-selected by a full stable argsort.
+    """
+    cand = np.argpartition(dists, k - 1, axis=1)[:, :k]
+    cand.sort(axis=1)
+    by_dist = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
+    nbr = np.take_along_axis(cand, by_dist, axis=1)
+    kth = np.take_along_axis(dists, nbr[:, -1:], axis=1)
+    # count the entries above the cut-off: nothing compares above a NaN
+    # cut-off (overflowing features), so such a row also takes the full sort
+    tied = np.flatnonzero(np.count_nonzero(dists > kth, axis=1) < dists.shape[1] - k)
+    if tied.size:
+        nbr[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
+    return nbr
+
+
+def knn_graph(features, spec, metric=None):
     """Build the union-symmetrized N-nearest-neighbor weight graph.
 
     Vertices i and j are connected iff i is among the N nearest neighbors
     of j or vice versa. Self-edges are excluded; distance ties are broken
-    by lower vertex index. Edge weights follow `spec`.
+    by lower vertex index, exactly as a stable argsort of each distance
+    row would break them. Each row selects k = max(N, M) candidates for
+    local scaling and k = N otherwise by partial selection; rows that tie
+    at the k-th distance fall back to the full stable sort. Edge weights
+    follow `spec`. metric None means "cosine_distance" for cosine weights
+    and "euclidean" otherwise.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 2:
@@ -183,6 +211,8 @@ def knn_graph(features, spec, metric="euclidean"):
         raise ValueError(f"neighbors N={spec.neighbors} must be < N_D={n}")
     if spec.kind == "local_scaling" and spec.m_scale >= n:
         raise ValueError(f"local scale index M={spec.m_scale} must be < N_D={n}")
+    if metric is None:
+        metric = "cosine_distance" if spec.kind == "cosine" else "euclidean"
     if spec.kind == "cosine" and metric != "cosine_distance":
         raise ValueError("cosine weights require the cosine_distance metric")
 
@@ -200,13 +230,13 @@ def knn_graph(features, spec, metric="euclidean"):
     m = spec.m_scale
     src_list, dst_list, dist_list = [], [], []
     tau = np.empty(n) if spec.kind == "local_scaling" else None
+    k = max(n_nbr, m) if tau is not None else n_nbr
 
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
         dists = _pairwise_block(features, block, metric, sq_norms)
         dists[np.arange(block.size), block] = np.inf  # exclude self
-        # stable argsort: ties broken by lower vertex index
-        order = np.argsort(dists, axis=1, kind="stable")
+        order = _nearest(dists, k)
         nbr = order[:, :n_nbr]
         nbr_d = np.take_along_axis(dists, nbr, axis=1)
         src_list.append(np.repeat(block, n_nbr))

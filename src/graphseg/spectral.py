@@ -6,7 +6,6 @@ approximating the eigenpairs of the normalized Laplacian of the fully
 connected kernel matrix from a random landmark subset.
 """
 
-import hashlib
 import logging
 from dataclasses import dataclass
 
@@ -221,14 +220,6 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
 
     lap_vals = 1.0 - lam_w  # ascending since lam_w is descending
     return SpectralBasis(lap_vals, _fix_signs(vecs), f"nystrom({sample_size})")
-
-
-def basis_cache_key(content, n_e, tol, seed):
-    """Content hash keying a cached spectrum to its inputs and parameters."""
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(content).tobytes())
-    h.update(f"|{n_e}|{tol!r}|{seed}".encode())
-    return h.hexdigest()
 
 
 def save_basis(basis, path):

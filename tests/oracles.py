@@ -1,12 +1,21 @@
 """Independent reference computations used to check the library paths.
 
 Everything here deliberately avoids the code under test: dense eigensolvers,
-grid searches, finite differences, and exhaustive enumeration.
+grid searches, finite differences, exhaustive enumeration, and the original
+full-sort neighbour selection of the k-NN graph.
 """
 
 import itertools
 
 import numpy as np
+
+from graphseg.graph import (
+    _BLOCK_ROWS,
+    SparseWeightGraph,
+    _pairwise_block,
+    gaussian_weight,
+    local_scaling_weight,
+)
 
 
 def grid_project_simplex(v, tol=1e-9):
@@ -112,8 +121,6 @@ def dense_kernel_laplacian_eigs(features, sigma):
 def random_connected_graph(rng, n, extra_edges=None):
     """Random connected SparseWeightGraph: a random spanning tree plus
     extra random edges, with uniform(0.1, 2) weights."""
-    from graphseg.graph import SparseWeightGraph
-
     edges = set()
     order = rng.permutation(n)
     for a, b in zip(order[:-1], order[1:]):
@@ -137,3 +144,83 @@ def all_subsets(n):
             mask = np.zeros(n, dtype=bool)
             mask[list(combo)] = True
             yield mask
+
+
+# The original knn_graph, kept verbatim: it selects neighbours with a full
+# stable argsort of every distance row. knn_graph must match it byte for byte.
+def knn_graph_reference(features, spec, metric="euclidean"):
+    """Build the union-symmetrized N-nearest-neighbor weight graph.
+
+    Vertices i and j are connected iff i is among the N nearest neighbors
+    of j or vice versa. Self-edges are excluded; distance ties are broken
+    by lower vertex index. Edge weights follow `spec`.
+    """
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ValueError("features must be a 2-D array with at least 2 rows")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite entries")
+    n = features.shape[0]
+    if spec.neighbors >= n:
+        raise ValueError(f"neighbors N={spec.neighbors} must be < N_D={n}")
+    if spec.kind == "local_scaling" and spec.m_scale >= n:
+        raise ValueError(f"local scale index M={spec.m_scale} must be < N_D={n}")
+    if spec.kind == "cosine" and metric != "cosine_distance":
+        raise ValueError("cosine weights require the cosine_distance metric")
+
+    if metric == "cosine_distance":
+        norms = np.linalg.norm(features, axis=1)
+        zero = np.flatnonzero(norms == 0)
+        if zero.size:
+            raise ValueError(f"zero feature vector at row {zero[0]}")
+        features = features / norms[:, None]
+        sq_norms = None
+    else:
+        sq_norms = np.einsum("ij,ij->i", features, features)
+
+    n_nbr = spec.neighbors
+    m = spec.m_scale
+    src_list, dst_list, dist_list = [], [], []
+    tau = np.empty(n) if spec.kind == "local_scaling" else None
+
+    for start in range(0, n, _BLOCK_ROWS):
+        block = np.arange(start, min(start + _BLOCK_ROWS, n))
+        dists = _pairwise_block(features, block, metric, sq_norms)
+        dists[np.arange(block.size), block] = np.inf  # exclude self
+        # stable argsort: ties broken by lower vertex index
+        order = np.argsort(dists, axis=1, kind="stable")
+        nbr = order[:, :n_nbr]
+        nbr_d = np.take_along_axis(dists, nbr, axis=1)
+        src_list.append(np.repeat(block, n_nbr))
+        dst_list.append(nbr.ravel())
+        dist_list.append(nbr_d.ravel())
+        if tau is not None:
+            dm = np.take_along_axis(dists, order[:, m - 1 : m], axis=1)[:, 0]
+            if np.any(dm == 0):
+                bad = block[np.flatnonzero(dm == 0)[0]]
+                raise ValueError(
+                    f"vertex {bad}: zero local scale (duplicate point at the "
+                    f"M={m} neighbor)"
+                )
+            tau[block] = dm**2
+
+    src = np.concatenate(src_list)
+    dst = np.concatenate(dst_list)
+    d = np.concatenate(dist_list)
+
+    # union symmetrization: keep each undirected pair once with i < j
+    i = np.minimum(src, dst)
+    j = np.maximum(src, dst)
+    keys = i.astype(np.int64) * n + j
+    _, uniq = np.unique(keys, return_index=True)
+    i, j, d = i[uniq], j[uniq], d[uniq]
+
+    if spec.kind == "gaussian":
+        w = gaussian_weight(d, spec.sigma)
+    elif spec.kind == "local_scaling":
+        w = local_scaling_weight(d, tau[i], tau[j])
+    else:  # cosine: weight is the (clamped) similarity itself
+        w = np.maximum(1.0 - d, 0.0)
+
+    keep = w > 0
+    return SparseWeightGraph(n, i[keep], j[keep], w[keep])

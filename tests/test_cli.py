@@ -126,6 +126,14 @@ class TestValidation:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_cosine_weights_choose_their_metric(self, tmp_path, blob_files, capsys):
+        features, _ = blob_files
+        args = ["graph", str(features), "--out", str(tmp_path / "g.txt"),
+                "--weight", "cosine", "--neighbors", "2"]
+        assert main(args) == 0
+        assert main([*args, "--metric", "euclidean"]) == 2
+        assert "cosine_distance metric" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from graphseg.graph import (
     SparseWeightGraph,
@@ -12,11 +15,29 @@ from graphseg.graph import (
     normalized_laplacian,
     save_graph,
 )
-from oracles import quadratic_form, random_connected_graph
+from oracles import knn_graph_reference, quadratic_form, random_connected_graph
 
 
 def edge_set(graph):
     return set(zip(graph.rows.tolist(), graph.cols.tolist()))
+
+
+def assert_matches_reference(features, spec, metric="euclidean"):
+    """knn_graph gives the full-sort reference's graph byte for byte, or
+    raises a ValueError with the same message."""
+    try:
+        expected = knn_graph_reference(features, spec, metric=metric)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            knn_graph(features, spec, metric=metric)
+        assert str(raised.value) == str(exc)
+        return
+    got = knn_graph(features, spec, metric=metric)
+    assert got.n_vertices == expected.n_vertices
+    for name in ("rows", "cols", "weights", "degrees"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 class TestWeightFunctions:
@@ -85,7 +106,9 @@ class TestKnnGraph:
     def test_cosine_graph_requires_cosine_metric(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(ValueError):
-            knn_graph(feats, WeightSpec(kind="cosine", neighbors=1))
+            knn_graph(
+                feats, WeightSpec(kind="cosine", neighbors=1), metric="euclidean"
+            )
 
     def test_cosine_graph_weights(self):
         feats = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -135,6 +158,63 @@ class TestKnnGraph:
         assert set(weights2) == edge_set(g1)
         for i, j, w in zip(g1.rows, g1.cols, g1.weights):
             assert weights2[(i, j)] == pytest.approx(w, abs=1e-12)
+
+
+class TestMatchesFullSortReference:
+    """Partial selection must reproduce the full stable argsort exactly,
+    ties at the cut-off included."""
+
+    @pytest.mark.parametrize("case", ["gaussian", "m_below_n", "m_above_n", "cosine"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tied_integer_features(self, case, data):
+        n = data.draw(st.integers(3, 60), label="n")
+        d = data.draw(st.integers(1, 3), label="d")
+        feats = data.draw(
+            arrays(np.int64, (n, d), elements=st.integers(-3, 3)), label="features"
+        ).astype(float)
+        top = n - 2 if case == "m_above_n" else n - 1
+        neighbors = data.draw(st.integers(1, top), label="neighbors")
+        metric = "euclidean"
+        if case == "gaussian":
+            spec = WeightSpec(kind="gaussian", neighbors=neighbors, sigma=2.0)
+        elif case == "cosine":
+            spec = WeightSpec(kind="cosine", neighbors=neighbors)
+            metric = "cosine_distance"
+        else:
+            m_range = (1, neighbors) if case == "m_below_n" else (neighbors + 1, n - 1)
+            m_scale = data.draw(st.integers(*m_range), label="m_scale")
+            spec = WeightSpec(kind="local_scaling", neighbors=neighbors, m_scale=m_scale)
+        assert_matches_reference(feats, spec, metric)
+
+    def test_moons(self, moons):
+        spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
+        assert_matches_reference(moons.features, spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WeightSpec(kind="gaussian", neighbors=3, sigma=1.0),
+            WeightSpec(kind="local_scaling", neighbors=3, m_scale=6),
+        ],
+    )
+    def test_lattice_ties_at_cutoff(self, spec):
+        feats = np.array([(x, y) for x in range(10) for y in range(10)], dtype=float)
+        # an interior vertex has four lattice neighbours at distance 1, more
+        # than the three selected, so its row takes the full-sort branch
+        d = np.linalg.norm(feats - feats[55], axis=1)
+        assert np.count_nonzero(d == 1.0) == 4
+        assert_matches_reference(feats, spec)
+
+    def test_overflowing_distances(self):
+        # finite features whose squared norms overflow give inf and NaN
+        # distances, which neither selection may order differently
+        rng = np.random.default_rng(3)
+        feats = np.vstack([rng.normal(size=(30, 2)) * 1e200, rng.normal(size=(30, 2))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_reference(
+                feats, WeightSpec(kind="local_scaling", neighbors=5, m_scale=7)
+            )
 
 
 class TestNormalizedLaplacian:

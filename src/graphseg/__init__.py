@@ -16,7 +16,7 @@ from graphseg.spectral import SpectralBasis, smallest_eigenpairs, nystrom_eigenp
 from graphseg.simplex import project_to_simplex, project_rows, nearest_vertex, nearest_vertices
 from graphseg.fields import FidelitySet, random_label_field
 from graphseg.gl import GLConfig, gl_segment, gl_step, multiclass_energy, well_derivative
-from graphseg.mbo import MBOConfig, mbo_segment, mbo_diffusion_step, binary_equivalence_check
+from graphseg.mbo import MBOConfig, mbo_segment, mbo_diffusion_step
 from graphseg.data import (
     LabeledDataset,
     MoonsSpec,

@@ -1,5 +1,6 @@
-"""Shared solver state: fidelity sets, random phase-field initialization,
-and the relative-change stopping criterion."""
+"""Shared solver core: fidelity sets and their check, random phase-field
+initialization, the diagonal solve in a truncated eigenbasis, and the
+iteration driver with its relative-change stopping criterion."""
 
 from dataclasses import dataclass
 
@@ -7,7 +8,14 @@ import numpy as np
 
 from graphseg.simplex import project_rows
 
-__all__ = ["FidelitySet", "random_label_field", "stop_ratio"]
+__all__ = [
+    "FidelitySet",
+    "check_fidelity",
+    "random_label_field",
+    "spectral_solve",
+    "stop_ratio",
+    "iterate",
+]
 
 
 @dataclass(frozen=True)
@@ -48,15 +56,20 @@ class FidelitySet:
     def labels(self):
         return np.argmax(self.targets, axis=1)
 
-    def covers_all_classes(self):
-        return np.unique(self.labels).size == self.n_classes
-
     @classmethod
     def from_labels(cls, indices, labels, n_classes, mu):
         labels = np.asarray(labels, dtype=np.int64)
         targets = np.zeros((labels.size, n_classes))
         targets[np.arange(labels.size), labels] = 1.0
         return cls(np.asarray(indices, dtype=np.int64), targets, mu)
+
+
+def check_fidelity(fidelity):
+    """Reject a fidelity set that is empty or misses a class."""
+    if fidelity.indices.size == 0:
+        raise ValueError("fidelity set must be nonempty")
+    if np.unique(fidelity.labels).size != fidelity.n_classes:
+        raise ValueError("fidelity set must contain samples of every class")
 
 
 def random_label_field(n_vertices, fidelity, seed):
@@ -73,3 +86,32 @@ def stop_ratio(u_new, u_old):
     num = np.max(np.sum((u_new - u_old) ** 2, axis=1))
     den = np.max(np.sum(u_new**2, axis=1))
     return num / den
+
+
+def spectral_solve(basis, n_e, r, shift, scale):
+    """X diag(1 / (shift + scale lambda)) X^T r in the truncated basis.
+
+    Solves (shift I + scale L_s) u = r restricted to the span of the
+    basis; n_e is the basis size the solver's config expects.
+    """
+    if basis.n_e != n_e:
+        raise ValueError(f"basis has {basis.n_e} eigenpairs, config expects {n_e}")
+    if r.shape[0] != basis.n_vertices:
+        raise ValueError("field and basis dimensions do not match")
+    weights = 1.0 / (shift + scale * basis.eigenvalues)
+    return basis.eigenvectors @ (weights[:, None] * (basis.eigenvectors.T @ r))
+
+
+def iterate(step, u0, eta, max_iters):
+    """Apply u <- step(u) until stop_ratio(u_new, u) < eta.
+
+    Returns (field, iterations, converged); converged is False when
+    max_iters steps ran without meeting the criterion.
+    """
+    u = u0
+    for iterations in range(1, max_iters + 1):
+        u_new = step(u)
+        if stop_ratio(u_new, u) < eta:
+            return u_new, iterations, True
+        u = u_new
+    return u, max_iters, False

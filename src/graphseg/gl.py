@@ -11,9 +11,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from graphseg.fields import random_label_field, stop_ratio
+from graphseg.fields import check_fidelity, iterate, random_label_field, spectral_solve
+from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.graph import NormalizedLaplacian
 from graphseg.simplex import nearest_vertices, project_rows
 from graphseg.spectral import SpectralBasis
@@ -51,9 +51,8 @@ class GLConfig:
                 raise ValueError(f"{name} must be positive")
         if self.c is None:
             object.__setattr__(self, "c", self.mu + 1.0 / self.epsilon)
-        for name in ("c",):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.c > 0:
+            raise ValueError("c must be positive")
         if self.n_e < 1 or self.max_iters < 1:
             raise ValueError("n_e and max_iters must be >= 1")
         if self.c < self.mu + 1.0 / self.epsilon - 1e-12:
@@ -126,21 +125,12 @@ def well_derivative(u):
     return 0.5 * np.sum(g, axis=1, keepdims=True) - g
 
 
-def _propagator(basis, cfg):
-    """Diagonal weights 1 / (1 + C dt + epsilon dt lambda_k)."""
-    return 1.0 / (1.0 + cfg.c * cfg.dt + cfg.epsilon * cfg.dt * basis.eigenvalues)
-
-
 def gl_step(u, basis, fidelity, cfg):
     """One convex-splitting update followed by row-wise simplex projection."""
-    if basis.n_e != cfg.n_e:
-        raise ValueError(f"basis has {basis.n_e} eigenpairs, config expects {cfg.n_e}")
-    if u.shape[0] != basis.n_vertices:
-        raise ValueError("field and basis dimensions do not match")
-    r = (1.0 + cfg.c * cfg.dt) * u - (cfg.dt / (2.0 * cfg.epsilon)) * well_derivative(u)
+    shift = 1.0 + cfg.c * cfg.dt
+    r = shift * u - (cfg.dt / (2.0 * cfg.epsilon)) * well_derivative(u)
     r[fidelity.indices] -= cfg.dt * fidelity.mu * (u[fidelity.indices] - fidelity.targets)
-    z = _propagator(basis, cfg)[:, None] * (basis.eigenvectors.T @ r)
-    u_new = basis.eigenvectors @ z
+    u_new = spectral_solve(basis, cfg.n_e, r, shift, cfg.epsilon * cfg.dt)
     if not np.all(np.isfinite(u_new)):
         raise FloatingPointError("non-finite values in convex-splitting update")
     return project_rows(u_new)
@@ -155,21 +145,12 @@ def gl_segment(basis, fidelity, cfg):
     or at max_iters (non-converged flag). Labels are the nearest simplex
     vertices of the final rows.
     """
-    if fidelity.indices.size == 0:
-        raise ValueError("fidelity set must be nonempty")
-    if not fidelity.covers_all_classes():
-        raise ValueError("fidelity set must contain samples of every class")
+    check_fidelity(fidelity)
     start = time.perf_counter()
-    u = random_label_field(basis.n_vertices, fidelity, cfg.seed)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        u_new = gl_step(u, basis, fidelity, cfg)
-        if stop_ratio(u_new, u) < cfg.eta:
-            u = u_new
-            converged = True
-            break
-        u = u_new
+    u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
+    u, iterations, converged = iterate(
+        lambda u: gl_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
+    )
     energy = multiclass_energy(u, basis, fidelity, cfg.epsilon)
     return GLResult(
         field=u,

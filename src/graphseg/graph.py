@@ -18,7 +18,6 @@ __all__ = [
     "NormalizedLaplacian",
     "gaussian_weight",
     "local_scaling_weight",
-    "cosine_weight",
     "knn_graph",
     "normalized_laplacian",
     "save_graph",
@@ -134,17 +133,6 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
         )
     d_ij = np.asarray(d_ij, dtype=float)
     return np.exp(-(d_ij**2) / np.sqrt(tau_i * tau_j))
-
-
-def cosine_weight(x_i, x_j):
-    """Cosine similarity of two feature vectors, clamped below at 0."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    ni = np.linalg.norm(x_i)
-    nj = np.linalg.norm(x_j)
-    if ni == 0 or nj == 0:
-        raise ValueError("cosine weight undefined for a zero vector")
-    return max(float(np.dot(x_i, x_j)) / (ni * nj), 0.0)
 
 
 def _pairwise_block(features, block, metric, sq_norms=None):

@@ -3,8 +3,7 @@ simplex projection, and nearest-vertex thresholding.
 
 Each outer iteration runs n_s implicit heat sub-steps (time dt/n_s each),
 projects rows to the Gibbs simplex, and snaps each row to its nearest
-simplex vertex. Also provides the scalar +/-1 binary pipeline and an
-agreement check against the K=2 multiclass reduction.
+simplex vertex.
 """
 
 import time
@@ -12,16 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from graphseg.fields import random_label_field, stop_ratio
+from graphseg.fields import check_fidelity, iterate, random_label_field, spectral_solve
+from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.simplex import nearest_vertices, project_rows
 
 __all__ = [
     "MBOConfig",
     "MBOResult",
     "mbo_diffusion_step",
+    "mbo_step",
     "mbo_segment",
-    "binary_mbo_segment",
-    "binary_equivalence_check",
 ]
 
 
@@ -58,25 +57,25 @@ class MBOResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def _sub_propagator(basis, cfg):
-    return 1.0 / (1.0 + (cfg.dt / cfg.n_s) * basis.eigenvalues)
-
-
 def mbo_diffusion_step(u, basis, fidelity, cfg):
     """One implicit diffusion sub-step of length dt/n_s with forcing.
 
     Solves (I + (dt/n_s) L_s) U' = U - (dt/n_s) mu (U - U_hat) in the
     truncated basis. No projection or thresholding here.
     """
-    if basis.n_e != cfg.n_e:
-        raise ValueError(f"basis has {basis.n_e} eigenpairs, config expects {cfg.n_e}")
-    if u.shape[0] != basis.n_vertices:
-        raise ValueError("field and basis dimensions do not match")
     sub_dt = cfg.dt / cfg.n_s
     r = u.copy()
     r[fidelity.indices] -= sub_dt * fidelity.mu * (u[fidelity.indices] - fidelity.targets)
-    z = _sub_propagator(basis, cfg)[:, None] * (basis.eigenvectors.T @ r)
-    return basis.eigenvectors @ z
+    return spectral_solve(basis, cfg.n_e, r, 1.0, sub_dt)
+
+
+def mbo_step(u, basis, fidelity, cfg):
+    """One outer iteration: n_s diffusion sub-steps, projection of the rows
+    to the simplex, and thresholding of each row to its nearest vertex."""
+    v = u
+    for _ in range(cfg.n_s):
+        v = mbo_diffusion_step(v, basis, fidelity, cfg)
+    return np.eye(fidelity.n_classes)[nearest_vertices(project_rows(v))]
 
 
 def mbo_segment(basis, fidelity, cfg):
@@ -85,34 +84,14 @@ def mbo_segment(basis, fidelity, cfg):
     The stopping criterion is evaluated on the thresholded (vertex-valued)
     fields, so convergence means no node changes class.
     """
-    if fidelity.indices.size == 0:
-        raise ValueError("fidelity set must be nonempty")
-    if not fidelity.covers_all_classes():
-        raise ValueError("fidelity set must contain samples of every class")
-    u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
-    return _mbo_iterate(basis, fidelity, cfg, u0)
-
-
-def _mbo_iterate(basis, fidelity, cfg, u0):
+    check_fidelity(fidelity)
     if not cfg.dt > 0:
         raise ValueError("dt must be positive")
     start = time.perf_counter()
-    u = u0
-    k = fidelity.n_classes
-    eye = np.eye(k)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        v = u
-        for _ in range(cfg.n_s):
-            v = mbo_diffusion_step(v, basis, fidelity, cfg)
-        v = project_rows(v)
-        u_new = eye[nearest_vertices(v)]
-        if stop_ratio(u_new, u) < cfg.eta:
-            u = u_new
-            converged = True
-            break
-        u = u_new
+    u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
+    u, iterations, converged = iterate(
+        lambda u: mbo_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
+    )
     return MBOResult(
         field=u,
         labels=nearest_vertices(u),
@@ -120,60 +99,3 @@ def _mbo_iterate(basis, fidelity, cfg, u0):
         converged=converged,
         wall_time=time.perf_counter() - start,
     )
-
-
-def binary_mbo_segment(basis, fidelity, cfg, u0):
-    """Scalar +/-1 binary MBO pipeline from a given initial field.
-
-    u0 is a length-N_D real vector; labeled values and forcing use the
-    scalar targets 2*U_hat[:, 0] - 1. Thresholding maps u >= 0 to +1.
-    Returns (final scalar field in {-1, +1}, iterations, converged).
-    """
-    if not cfg.dt > 0:
-        raise ValueError("dt must be positive")
-    weights = _sub_propagator(basis, cfg)
-    targets = 2.0 * fidelity.targets[:, 0] - 1.0
-    sub_dt = cfg.dt / cfg.n_s
-    u = np.asarray(u0, dtype=float).copy()
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        v = u
-        for _ in range(cfg.n_s):
-            r = v.copy()
-            r[fidelity.indices] -= sub_dt * fidelity.mu * (v[fidelity.indices] - targets)
-            v = basis.eigenvectors @ (weights * (basis.eigenvectors.T @ r))
-        u_new = np.where(v >= 0, 1.0, -1.0)
-        if np.array_equal(u_new, u):
-            u = u_new
-            converged = True
-            break
-        u = u_new
-    return u, iterations, converged
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-node label agreement between the K=2 multiclass and the scalar
-    binary MBO pipelines under matched initialization."""
-
-    agreement: float
-    labels_multiclass: np.ndarray
-    labels_binary: np.ndarray
-
-
-def binary_equivalence_check(basis, fidelity, cfg):
-    """Run both two-class pipelines from matched initializations.
-
-    The binary field is initialized as 2*U[:, 0] - 1 from the same random
-    simplex field the multiclass run starts from; binary labels come from
-    the sign (+1 -> class 0).
-    """
-    if fidelity.n_classes != 2:
-        raise ValueError("binary equivalence check requires K=2 fidelity")
-    u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
-    result = _mbo_iterate(basis, fidelity, cfg, u0)
-    b, _, _ = binary_mbo_segment(basis, fidelity, cfg, 2.0 * u0[:, 0] - 1.0)
-    labels_binary = np.where(b > 0, 0, 1)
-    agreement = float(np.mean(result.labels == labels_binary))
-    return EquivalenceReport(agreement, result.labels, labels_binary)

@@ -31,11 +31,12 @@ from graphseg.gl import (
     well_derivative,
 )
 from graphseg.graph import WeightSpec, knn_graph, normalized_laplacian
-from graphseg.mbo import MBOConfig, binary_equivalence_check, mbo_diffusion_step
+from graphseg.mbo import MBOConfig, mbo_diffusion_step
 from graphseg.simplex import project_to_simplex
 from graphseg.spectral import nystrom_eigenpairs, smallest_eigenpairs
 from oracles import (
     all_subsets,
+    binary_equivalence_check,
     brute_force_cut,
     dense_kernel_laplacian_eigs,
     dense_laplacian,

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from graphseg.graph import (
     SparseWeightGraph,
     WeightSpec,
-    cosine_weight,
     gaussian_weight,
     knn_graph,
     load_graph,
@@ -15,7 +14,12 @@ from graphseg.graph import (
     normalized_laplacian,
     save_graph,
 )
-from oracles import knn_graph_reference, quadratic_form, random_connected_graph
+from oracles import (
+    cosine_weight,
+    knn_graph_reference,
+    quadratic_form,
+    random_connected_graph,
+)
 
 
 def edge_set(graph):

@@ -8,15 +8,9 @@ from graphseg.graph import (
     knn_graph,
     normalized_laplacian,
 )
-from graphseg.mbo import (
-    MBOConfig,
-    binary_equivalence_check,
-    binary_mbo_segment,
-    mbo_diffusion_step,
-    mbo_segment,
-)
+from graphseg.mbo import MBOConfig, mbo_diffusion_step, mbo_segment
 from graphseg.spectral import smallest_eigenpairs
-from oracles import random_connected_graph
+from oracles import binary_equivalence_check, binary_mbo_segment, random_connected_graph
 
 
 def full_basis(graph):
@@ -133,6 +127,16 @@ class TestSegment:
         res = mbo_segment(basis, fid, MBOConfig(n_e=n, mu=50.0, dt=0.01))
         assert res.converged
         assert np.array_equal(res.labels, blobs.labels)
+
+    def test_max_iters_reports_non_convergence(self, blobs):
+        lap = normalized_laplacian(
+            knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
+        )
+        basis = smallest_eigenpairs(lap, 10)
+        fid = FidelitySet.from_labels(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
+        res = mbo_segment(basis, fid, MBOConfig(n_e=10, max_iters=1))
+        assert not res.converged
+        assert res.iterations == 1
 
     def test_zero_dt_rejected_at_run_time(self, blobs):
         lap = normalized_laplacian(

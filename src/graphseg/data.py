@@ -22,8 +22,6 @@ __all__ = [
     "load_labels_csv",
     "save_labels_csv",
     "load_mnist_idx",
-    "write_idx_images",
-    "write_idx_labels",
     "sample_fidelity",
     "stratified_subset",
 ]
@@ -165,22 +163,6 @@ def load_mnist_idx(images_path, labels_path):
             f"image count {n} does not match label count {n_labels}"
         )
     return LabeledDataset(features, labels, int(labels.max()) + 1)
-
-
-def write_idx_images(images, path):
-    """Write (n, h, w) uint8 images in IDX format."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, h, w = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">4i", IDX_IMAGE_MAGIC, n, h, w))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(labels, path):
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">2i", IDX_LABEL_MAGIC, labels.size))
-        f.write(labels.tobytes())
 
 
 def _per_class_counts(dataset, per_class):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from graphseg.cache import load_arrays, save_arrays
+
 __all__ = [
     "WeightSpec",
     "SparseWeightGraph",
@@ -25,8 +27,6 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 512
-
-EDGE_CACHE_MAGIC = "graphseg-edges v1"
 
 
 @dataclass(frozen=True)
@@ -276,33 +276,20 @@ def normalized_laplacian(graph):
 
 
 def save_graph(graph, path):
-    """Write the edge-list cache: header, then `i j w` lines (0-based, i<j)."""
-    with open(path, "w") as f:
-        f.write(f"{EDGE_CACHE_MAGIC} {graph.n_vertices}\n")
-        for i, j, w in zip(graph.rows, graph.cols, graph.weights):
-            f.write(f"{i} {j} {float(w)!r}\n")
+    """Write the graph cache: the vertex count and the i < j edge list."""
+    save_arrays(path, "edge cache", n_vertices=graph.n_vertices,
+                rows=graph.rows, cols=graph.cols, weights=graph.weights)
 
 
 def load_graph(path):
-    """Load an edge-list cache, recomputing degrees and validating invariants."""
-    with open(path) as f:
-        header = f.readline().split()
-        if header[:2] != EDGE_CACHE_MAGIC.split() or len(header) != 3:
-            raise ValueError(f"{path}: not a graphseg edge cache")
-        n = int(header[2])
-        rows, cols, weights = [], [], []
-        for lineno, line in enumerate(f, start=2):
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: malformed edge line")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            weights.append(float(parts[2]))
-    g = SparseWeightGraph(
-        n,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(weights),
-    )
+    """Load a graph cache, recomputing degrees and validating invariants."""
+    n, rows, cols, weights = load_arrays(
+        path, "edge cache", ("n_vertices", "rows", "cols", "weights"))
+    # degrees are summed at these indices, so check them before building
+    if not (all(a.dtype.kind in "iu" for a in (n, rows, cols)) and n.shape == ()
+            and rows.shape == cols.shape == weights.shape == (weights.size,)
+            and np.all((0 <= rows) & (rows < cols) & (cols < n))):
+        raise ValueError(f"{path}: not a graphseg edge cache")
+    g = SparseWeightGraph(int(n), rows, cols, weights)
     g.validate()
     return g

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from graphseg.cache import load_arrays, save_arrays
 from graphseg.graph import NormalizedLaplacian
 
 __all__ = [
@@ -25,8 +26,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-EIG_CACHE_MAGIC = "graphseg-eigs v1"
 
 
 class EigensolverError(RuntimeError):
@@ -223,25 +222,18 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
 
 
 def save_basis(basis, path):
-    """Write the eigencache: header, eigenvalue line, then X row-major CSV."""
-    with open(path, "w") as f:
-        f.write(
-            f"{EIG_CACHE_MAGIC} {basis.n_vertices} {basis.n_e} {basis.method}\n"
-        )
-        f.write(",".join(repr(float(v)) for v in basis.eigenvalues) + "\n")
-        for row in basis.eigenvectors:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write the eigencache: eigenvalues, eigenvectors and method."""
+    # .npz keeps the order it is given, and the solvers' products round
+    # differently on eigsh's Fortran-ordered vectors, so store C order
+    save_arrays(path, "eigencache", eigenvalues=basis.eigenvalues,
+                eigenvectors=np.ascontiguousarray(basis.eigenvectors),
+                method=np.array(basis.method))
 
 
 def load_basis(path):
     """Load an eigencache file written by save_basis."""
-    with open(path) as f:
-        header = f.readline().split()
-        if header[:2] != EIG_CACHE_MAGIC.split() or len(header) != 5:
-            raise ValueError(f"{path}: not a graphseg eigencache")
-        n, n_e, method = int(header[2]), int(header[3]), header[4]
-        vals = np.array([float(v) for v in f.readline().split(",")])
-        vecs = np.loadtxt(f, delimiter=",", ndmin=2)
-    if vals.size != n_e or vecs.shape != (n, n_e):
-        raise ValueError(f"{path}: eigencache dimensions do not match header")
-    return SpectralBasis(vals, vecs, method)
+    vals, vecs, method = load_arrays(
+        path, "eigencache", ("eigenvalues", "eigenvectors", "method"))
+    if vals.ndim != 1 or vecs.shape[1:] != vals.shape:
+        raise ValueError(f"{path}: eigencache dimensions do not match")
+    return SpectralBasis(vals, vecs, str(method))

@@ -3,14 +3,17 @@
 Everything here deliberately avoids the code under test: dense eigensolvers,
 grid searches, finite differences, exhaustive enumeration, the original
 full-sort neighbour selection of the k-NN graph, the scalar cosine weight,
-and the scalar +/-1 binary MBO pipeline.
+and the scalar +/-1 binary MBO pipeline. The IDX writers and
+`write_bad_cache` build input files for the loaders' tests.
 """
 
 import itertools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from graphseg.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from graphseg.fields import iterate, random_label_field
 from graphseg.graph import (
     _BLOCK_ROWS,
@@ -302,3 +305,59 @@ def binary_equivalence_check(basis, fidelity, cfg):
     labels_binary = np.where(b > 0, 0, 1)
     agreement = float(np.mean(labels_multiclass == labels_binary))
     return EquivalenceReport(agreement, labels_multiclass, labels_binary)
+
+
+def write_idx_images(images, path):
+    """Write (n, h, w) uint8 images in IDX format."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, h, w = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">4i", IDX_IMAGE_MAGIC, n, h, w))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(labels, path):
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">2i", IDX_LABEL_MAGIC, labels.size))
+        f.write(labels.tobytes())
+
+
+BAD_CACHE_CASES = [
+    "empty", "v1 text", "truncated", "bad crc", "bare npy",
+    "wrong format key", "missing format key", "object array",
+]
+
+
+def write_bad_cache(path, case, valid, v1_text):
+    """Write to `path` one kind of file a cache loader must reject.
+
+    `valid` is a cache file written by the library; the archive cases are
+    built from its arrays. `v1_text` is the same cache in the old text format.
+    """
+    raw = valid.read_bytes()
+    with np.load(valid) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    if case == "empty":
+        path.write_bytes(b"")
+    elif case == "v1 text":
+        path.write_text(v1_text)
+    elif case == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif case == "bad crc":
+        # the central directory starts right after the last member's data
+        end = raw.index(b"PK\x01\x02")
+        path.write_bytes(raw[: end - 1] + bytes([raw[end - 1] ^ 0xFF]) + raw[end:])
+    elif case == "bare npy":
+        with open(path, "wb") as f:
+            np.save(f, arrays["format"])
+    else:
+        if case == "wrong format key":
+            arrays["format"] = np.char.replace(arrays["format"], "v2", "v3")
+        elif case == "missing format key":
+            del arrays["format"]
+        elif case == "object array":
+            name = next(name for name in arrays if name != "format")
+            arrays[name] = arrays[name].astype(object)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)

@@ -5,6 +5,7 @@ import pytest
 
 from graphseg.cli import main
 from graphseg.data import save_features_csv, save_labels_csv
+from graphseg.graph import SparseWeightGraph, save_graph
 
 
 @pytest.fixture()
@@ -104,11 +105,33 @@ class TestValidation:
         assert code == 2
         assert "--n-e" in capsys.readouterr().err
 
-    def test_foreign_cache_file(self, tmp_path, capsys):
+    def test_foreign_cache_file(self, tmp_path, blob_files, capsys):
         bogus = tmp_path / "bogus.txt"
         bogus.write_text("junk\n")
         code = main(["eigs", str(bogus), "--out", str(tmp_path / "e.txt"),
                      "--n-e", "3"])
+        assert code == 2
+        assert "edge cache" in capsys.readouterr().err
+
+        features, labels = blob_files
+        graph, eigs = tmp_path / "graph.txt", tmp_path / "eigs.txt"
+        main(["graph", str(features), "--out", str(graph),
+              "--weight", "gaussian", "--neighbors", "8"])
+        main(["eigs", str(graph), "--out", str(eigs), "--n-e", "10"])
+        eigs.write_bytes(eigs.read_bytes()[:-200])  # truncated
+        capsys.readouterr()
+        code = main(["segment", str(eigs), str(labels), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "eigencache" in capsys.readouterr().err
+
+    def test_out_of_range_graph_cache(self, tmp_path, capsys):
+        graph = tmp_path / "graph.txt"
+        # explicit degrees: summing them at vertex 5 of 3 would raise here
+        bad = SparseWeightGraph(
+            3, np.array([1]), np.array([5]), np.array([0.5]), degrees=np.zeros(3)
+        )
+        save_graph(bad, graph)
+        code = main(["eigs", str(graph), "--out", str(tmp_path / "e.txt"), "--n-e", "2"])
         assert code == 2
         assert "edge cache" in capsys.readouterr().err
 

@@ -12,9 +12,8 @@ from graphseg.data import (
     save_features_csv,
     save_labels_csv,
     stratified_subset,
-    write_idx_images,
-    write_idx_labels,
 )
+from oracles import write_idx_images, write_idx_labels
 
 
 class TestThreeMoons:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from graphseg.graph import (
     save_graph,
 )
 from oracles import (
+    BAD_CACHE_CASES,
     cosine_weight,
     knn_graph_reference,
     quadratic_form,
     random_connected_graph,
+    write_bad_cache,
 )
 
 
@@ -269,17 +273,59 @@ class TestEdgeCache:
         assert np.array_equal(loaded.cols, g.cols)
         assert np.array_equal(loaded.weights, g.weights)
         assert np.array_equal(loaded.degrees, g.degrees)
+        for name in ("rows", "cols", "weights", "degrees"):
+            assert getattr(loaded, name).dtype == getattr(g, name).dtype
 
-    def test_header_line(self, tmp_path):
+    def test_format_key(self, tmp_path):
         g = SparseWeightGraph(2, np.array([0]), np.array([1]), np.array([0.5]))
         path = tmp_path / "graph.txt"
         save_graph(g, path)
-        assert path.read_text().splitlines()[0] == "graphseg-edges v1 2"
+        with np.load(path) as archive:
+            assert archive["format"] == "graphseg-graph v2"
+            assert sorted(archive.files) == ["cols", "format", "n_vertices", "rows", "weights"]
+
+    def test_writes_exactly_the_given_path(self, tmp_path, monkeypatch):
+        g = random_connected_graph(np.random.default_rng(3), 10)
+        first, second = tmp_path / "graph.txt", tmp_path / "again.txt"
+        save_graph(g, first)
+        monkeypatch.setattr(time, "time", lambda: 2e9)  # a clock in the file would show
+        save_graph(g, second)
+        assert sorted(tmp_path.iterdir()) == [second, first]
+        assert first.read_bytes() == second.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"
         path.write_text("not a cache\n")
         with pytest.raises(ValueError, match="edge cache"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("case", BAD_CACHE_CASES)
+    def test_rejects_bad_file(self, tmp_path, case):
+        valid = tmp_path / "valid.txt"
+        save_graph(random_connected_graph(np.random.default_rng(4), 6), valid)
+        path = tmp_path / "bad.txt"
+        write_bad_cache(path, case, valid, "graphseg-edges v1 6\n0 1 0.5\n")
+        with pytest.raises(ValueError, match="not a graphseg edge cache"):
+            load_graph(path)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            pytest.param([1], [5], id="past-last-vertex"),
+            pytest.param([-1], [1], id="negative"),
+            pytest.param([1], [0], id="i-above-j"),
+            pytest.param([0.0], [1.0], id="not-integers"),
+            pytest.param([[0]], [[1]], id="not-flat"),
+        ],
+    )
+    def test_rejects_bad_indices_before_building(self, tmp_path, rows, cols):
+        # explicit degrees skip the np.add.at that such indices break
+        g = SparseWeightGraph(
+            3, np.array(rows), np.array(cols), np.full(len(rows), 0.5), degrees=np.zeros(3)
+        )
+        path = tmp_path / "graph.txt"
+        save_graph(g, path)
+        with pytest.raises(ValueError, match="not a graphseg edge cache"):
             load_graph(path)
 
 

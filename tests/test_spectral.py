@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,19 @@ from graphseg.graph import (
 )
 from graphseg.spectral import (
     EigensolverError,
+    SpectralBasis,
     load_basis,
     nystrom_eigenpairs,
     save_basis,
     smallest_eigenpairs,
 )
-from oracles import dense_kernel_laplacian_eigs, dense_laplacian, random_connected_graph
+from oracles import (
+    BAD_CACHE_CASES,
+    dense_kernel_laplacian_eigs,
+    dense_laplacian,
+    random_connected_graph,
+    write_bad_cache,
+)
 
 
 def complete_graph(n):
@@ -141,11 +150,44 @@ class TestEigencache:
         assert loaded.method == "exact"
         assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
         assert np.array_equal(loaded.eigenvectors, basis.eigenvectors)
-        header = path.read_text().splitlines()[0]
-        assert header == "graphseg-eigs v1 20 5 exact"
+        with np.load(path) as archive:
+            assert archive["format"] == "graphseg-eigs v2"
+
+    def test_writes_exactly_the_given_path(self, tmp_path, monkeypatch):
+        basis = smallest_eigenpairs(normalized_laplacian(complete_graph(6)), 3)
+        first, second = tmp_path / "eigs.txt", tmp_path / "again.txt"
+        save_basis(basis, first)
+        monkeypatch.setattr(time, "time", lambda: 2e9)  # a clock in the file would show
+        save_basis(basis, second)
+        assert sorted(tmp_path.iterdir()) == [second, first]
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_eigenvectors_load_c_contiguous(self, tmp_path):
+        vecs = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        path = tmp_path / "eigs.txt"
+        save_basis(SpectralBasis(np.array([0.0, 0.5, 1.0]), vecs, "exact"), path)
+        loaded = load_basis(path)
+        assert loaded.eigenvectors.flags.c_contiguous
+        assert np.array_equal(loaded.eigenvectors, vecs)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="eigencache"):
+            load_basis(path)
+
+    @pytest.mark.parametrize("case", BAD_CACHE_CASES)
+    def test_rejects_bad_file(self, tmp_path, case):
+        valid = tmp_path / "valid.txt"
+        save_basis(smallest_eigenpairs(normalized_laplacian(complete_graph(4)), 2), valid)
+        path = tmp_path / "bad.txt"
+        v1_text = "graphseg-eigs v1 4 2 exact\n0.0,1.3\n" + "0.5,0.5\n" * 4
+        write_bad_cache(path, case, valid, v1_text)
+        with pytest.raises(ValueError, match="not a graphseg eigencache"):
+            load_basis(path)
+
+    def test_rejects_mismatched_dimensions(self, tmp_path):
+        path = tmp_path / "eigs.txt"
+        save_basis(SpectralBasis(np.zeros(3), np.zeros((4, 2)), "exact"), path)
+        with pytest.raises(ValueError, match="eigencache dimensions"):
             load_basis(path)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from graphseg.fields import check_fidelity, iterate, random_label_field, spectral_solve
+from graphseg.fields import check_fidelity, iterate, random_label_field, row_sum, spectral_solve
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.graph import NormalizedLaplacian
 from graphseg.simplex import nearest_vertices, project_rows
@@ -73,7 +73,7 @@ class GLResult:
 
 def _row_l1_to_vertices(u):
     """A[i, l] = ||u_i - e_l||_1 for each row i and class l."""
-    s = np.sum(np.abs(u), axis=1, keepdims=True)
+    s = row_sum(np.abs(u))[:, None]
     return s - np.abs(u) + np.abs(u - 1.0)
 
 
@@ -116,13 +116,16 @@ def well_derivative(u):
         raise ValueError("well_derivative received non-finite entries")
     a = _row_l1_to_vertices(u)
     q = 0.25 * a**2
-    k = u.shape[1]
-    loo = np.empty_like(q)  # leave-one-out products of q over classes
-    for l in range(k):
-        cols = [m for m in range(k) if m != l]
-        loo[:, l] = np.prod(q[:, cols], axis=1) if cols else 1.0
-    g = a * loo
-    return 0.5 * np.sum(g, axis=1, keepdims=True) - g
+    g = np.empty_like(q)
+    prefix = None  # q_0 ... q_{l-1}
+    for l in range(u.shape[1]):
+        # np.prod's order: ascending classes, left to right
+        loo = prefix
+        for m in range(l + 1, u.shape[1]):
+            loo = q[:, m] if loo is None else loo * q[:, m]
+        g[:, l] = a[:, l] if loo is None else a[:, l] * loo
+        prefix = q[:, l] if prefix is None else prefix * q[:, l]
+    return 0.5 * row_sum(g)[:, None] - g
 
 
 def gl_step(u, basis, fidelity, cfg):

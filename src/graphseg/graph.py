@@ -80,6 +80,8 @@ class SparseWeightGraph:
     def validate(self):
         if np.any(self.rows >= self.cols):
             raise ValueError("edge list must be stored with i < j")
+        if np.any(self.rows < 0) or np.any(self.cols >= self.n_vertices):
+            raise ValueError("vertex indices must lie in [0, n)")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValueError("edge weights must be finite and positive")
         if not np.array_equal(self.degrees, self._compute_degrees()):

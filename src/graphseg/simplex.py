@@ -27,20 +27,29 @@ def project_to_simplex(v):
 
 
 def project_rows(V):
-    """Project each row of an (n, K) array onto the Gibbs simplex."""
+    """Project each row of an (n, K) array onto the Gibbs simplex.
+
+    After the sort, every step is an operation on a whole class column (a
+    reduction along short rows costs about 20 ns a row), in the order of
+    np.cumsum and np.argmax, so the bytes equal the row-wise form's.
+    """
     V = np.asarray(V, dtype=float)
     _check_finite(V)
-    n, k = V.shape
-    # descending sort per row; threshold is the largest rho with
-    # s[rho] - (cumsum(s)[rho] - 1)/(rho+1) > 0
-    s = -np.sort(-V, axis=1)
-    cssum = np.cumsum(s, axis=1)
-    idx = np.arange(1, k + 1)
-    cond = s - (cssum - 1.0) / idx > 0
-    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (cssum[np.arange(n), rho] - 1.0) / (rho + 1)
-    out = np.maximum(V - theta[:, None], 0.0)
-    return out
+    _, k = V.shape
+    s = np.sort(V, axis=1)  # column k - 1 - j holds the j-th largest entry
+    # theta_j = (cumsum_j - 1)/(j + 1); theta is theta_rho at the last rho with
+    # s_rho - theta_rho > 0, else theta_{k-1} (argmax of an all-False row is 0)
+    thetas, holds = [], []
+    for j in range(k):
+        col = s[:, k - 1 - j]
+        c = col if j == 0 else c + col
+        thetas.append((c - 1.0) / (j + 1))
+        holds.append(col - thetas[-1] > 0)
+    theta = thetas[-1]
+    for theta_j, hold in zip(thetas, holds):
+        theta = np.where(hold, theta_j, theta)
+    out = V - theta[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def nearest_vertex(v):
@@ -51,7 +60,13 @@ def nearest_vertex(v):
 
 
 def nearest_vertices(V):
-    """Row-wise nearest simplex vertex indices for an (n, K) array."""
+    """Row-wise nearest simplex vertex indices for an (n, K) array
+    (ties -> lowest index, as np.argmax), one class column at a time."""
     V = np.asarray(V, dtype=float)
     _check_finite(V)
-    return np.argmax(V, axis=1)
+    best = V[:, 0]
+    index = np.zeros(V.shape[0], dtype=np.intp)
+    for j in range(1, V.shape[1]):
+        index = np.where(V[:, j] > best, j, index)
+        best = np.maximum(best, V[:, j])
+    return index

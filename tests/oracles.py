@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code under test: dense eigensolvers,
 grid searches, finite differences, exhaustive enumeration, the original
-full-sort neighbour selection of the k-NN graph, the scalar cosine weight,
-and the scalar +/-1 binary MBO pipeline. The IDX writers and
-`write_bad_cache` build input files for the loaders' tests.
+full-sort neighbour selection of the k-NN graph with its distance kernel,
+the original row-wise solver kernels, the scalar cosine weight, and the
+scalar +/-1 binary MBO pipeline. The IDX writers and `write_bad_cache`
+build input files for the loaders' tests.
 """
 
 import itertools
@@ -15,13 +16,7 @@ import numpy as np
 
 from graphseg.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from graphseg.fields import iterate, random_label_field
-from graphseg.graph import (
-    _BLOCK_ROWS,
-    SparseWeightGraph,
-    _pairwise_block,
-    gaussian_weight,
-    local_scaling_weight,
-)
+from graphseg.graph import SparseWeightGraph, gaussian_weight, local_scaling_weight
 from graphseg.mbo import mbo_step
 from graphseg.simplex import nearest_vertices
 
@@ -165,6 +160,30 @@ def all_subsets(n):
             yield mask
 
 
+_BLOCK_ROWS = 512
+
+
+# The original distance kernel, kept verbatim so that a change to the
+# library's kernel cannot change the reference by accident.
+def _pairwise_block(features, block, metric, sq_norms=None):
+    """Distances from feature rows `block` to all rows.
+
+    metric "euclidean": L2 distance. metric "cosine_distance": 1 - cosine
+    similarity (features must have nonzero rows, pre-checked by caller).
+    """
+    if metric == "euclidean":
+        xb = features[block]
+        g = xb @ features.T
+        d2 = sq_norms[block][:, None] + sq_norms[None, :] - 2.0 * g
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2)
+    if metric == "cosine_distance":
+        xb = features[block]
+        sim = xb @ features.T
+        return 1.0 - sim
+    raise ValueError(f"unknown metric {metric!r}")
+
+
 # The original knn_graph, kept verbatim: it selects neighbours with a full
 # stable argsort of every distance row. knn_graph must match it byte for byte.
 def knn_graph_reference(features, spec, metric="euclidean"):
@@ -243,6 +262,86 @@ def knn_graph_reference(features, spec, metric="euclidean"):
 
     keep = w > 0
     return SparseWeightGraph(n, i[keep], j[keep], w[keep])
+
+
+# The original row-wise solver kernels, kept verbatim apart from their names:
+# one numpy reduction along the K axis per step. The library computes them
+# as operations on class columns and must match them byte for byte.
+def _check_finite(a):
+    if not np.all(np.isfinite(a)):
+        raise ValueError("simplex operation received non-finite entries")
+
+
+def project_rows_reference(V):
+    """Project each row of an (n, K) array onto the Gibbs simplex."""
+    V = np.asarray(V, dtype=float)
+    _check_finite(V)
+    n, k = V.shape
+    # descending sort per row; threshold is the largest rho with
+    # s[rho] - (cumsum(s)[rho] - 1)/(rho+1) > 0
+    s = -np.sort(-V, axis=1)
+    cssum = np.cumsum(s, axis=1)
+    idx = np.arange(1, k + 1)
+    cond = s - (cssum - 1.0) / idx > 0
+    rho = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = (cssum[np.arange(n), rho] - 1.0) / (rho + 1)
+    out = np.maximum(V - theta[:, None], 0.0)
+    return out
+
+
+def nearest_vertices_reference(V):
+    """Row-wise nearest simplex vertex indices for an (n, K) array."""
+    V = np.asarray(V, dtype=float)
+    _check_finite(V)
+    return np.argmax(V, axis=1)
+
+
+def row_l1_to_vertices_reference(u):
+    """A[i, l] = ||u_i - e_l||_1 for each row i and class l."""
+    s = np.sum(np.abs(u), axis=1, keepdims=True)
+    return s - np.abs(u) + np.abs(u - 1.0)
+
+
+def well_derivative_reference(u):
+    """Gradient T of the multi-well product potential, row-wise.
+
+    T_ik = sum_l (1/2)(1 - 2 delta_kl) ||u_i - e_l||_1
+           prod_{m != l} (1/4) ||u_i - e_m||_1^2,
+    valid for rows with entries in [0, 1].
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("well_derivative received non-finite entries")
+    a = row_l1_to_vertices_reference(u)
+    q = 0.25 * a**2
+    k = u.shape[1]
+    loo = np.empty_like(q)  # leave-one-out products of q over classes
+    for l in range(k):
+        cols = [m for m in range(k) if m != l]
+        loo[:, l] = np.prod(q[:, cols], axis=1) if cols else 1.0
+    g = a * loo
+    return 0.5 * np.sum(g, axis=1, keepdims=True) - g
+
+
+def stop_ratio_reference(u_new, u_old):
+    """max_i ||u_i^new - u_i^old||^2 / max_i ||u_i^new||^2."""
+    num = np.max(np.sum((u_new - u_old) ** 2, axis=1))
+    den = np.max(np.sum(u_new**2, axis=1))
+    return num / den
+
+
+# (module, global name) -> reference; patching these restores the row-wise
+# kernels everywhere the solvers look them up at call time
+REFERENCE_KERNELS = {
+    ("graphseg.fields", "project_rows"): project_rows_reference,
+    ("graphseg.fields", "stop_ratio"): stop_ratio_reference,
+    ("graphseg.gl", "project_rows"): project_rows_reference,
+    ("graphseg.gl", "nearest_vertices"): nearest_vertices_reference,
+    ("graphseg.gl", "well_derivative"): well_derivative_reference,
+    ("graphseg.gl", "_row_l1_to_vertices"): row_l1_to_vertices_reference,
+    ("graphseg.mbo", "project_rows"): project_rows_reference,
+    ("graphseg.mbo", "nearest_vertices"): nearest_vertices_reference,
+}
 
 
 def binary_mbo_segment(basis, fidelity, cfg, u0):

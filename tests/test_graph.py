@@ -338,3 +338,18 @@ def test_weight_spec_validation():
         WeightSpec(kind="gaussian", neighbors=3, sigma=0.0)
     with pytest.raises(ValueError):
         WeightSpec(kind="local_scaling", neighbors=3, m_scale=0)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, degrees",
+    [
+        # np.add.at wraps -1 to vertex 2, so the degrees agree with the edge list
+        ([-1, 0], [1, 1], None),
+        ([0, 1], [1, 3], [0.5, 1.5, 0.0]),
+    ],
+)
+def test_validate_rejects_vertices_outside_the_graph(rows, cols, degrees):
+    g = SparseWeightGraph(3, np.array(rows), np.array(cols), np.array([0.5, 1.0]),
+                          None if degrees is None else np.array(degrees))
+    with pytest.raises(ValueError, match=r"vertex indices must lie in \[0, n\)"):
+        g.validate()

@@ -26,7 +26,12 @@ __all__ = [
     "load_graph",
 ]
 
+# The GEMM always runs on blocks of this height: BLAS rounds X[s:s+r] @ X.T
+# differently for other r, and edges and weights must not depend on it.
 _BLOCK_ROWS = 512
+# Distances are assembled and selected in row chunks of about this many bytes
+# of the block, so the temporaries stay small (about one L2 cache).
+_CHUNK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -137,46 +142,37 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
     return np.exp(-(d_ij**2) / np.sqrt(tau_i * tau_j))
 
 
-def _pairwise_block(features, block, metric, sq_norms=None):
-    """Distances from feature rows `block` to all rows.
+def _nearest(keys, k, squared):
+    """The k nearest columns of each row of `keys` and their distances.
 
-    metric "euclidean": L2 distance. metric "cosine_distance": 1 - cosine
-    similarity (features must have nonzero rows, pre-checked by caller).
+    The distance is sqrt(key) if `squared`, else the key itself. Returns the
+    first k columns of the stable argsort of each distance row (ties broken
+    by lower column index) and the distances there. np.argpartition picks k
+    candidates per row by key, and only their roots are taken; they are
+    sorted by index and then stable-sorted by distance. sqrt is monotone but
+    may map adjacent keys to one root: a key whose root equals that of the
+    k-th smallest key kth is at most kth * (1 + 2 eps), rounding to nearest.
+    A row with more than k keys at or below kth * (1 + 8 eps) (kth itself
+    when not `squared`) may therefore tie at the cut-off, and is re-selected
+    by a full stable argsort.
     """
-    if metric == "euclidean":
-        xb = features[block]
-        g = xb @ features.T
-        d2 = sq_norms[block][:, None] + sq_norms[None, :] - 2.0 * g
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
-    if metric == "cosine_distance":
-        xb = features[block]
-        sim = xb @ features.T
-        return 1.0 - sim
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-def _nearest(dists, k):
-    """Column indices of the k smallest entries of each row of `dists`.
-
-    Returns the first k columns of the stable argsort of each row: ordered
-    by distance, ties broken by lower column index. np.argpartition picks
-    k candidates per row; they are sorted by index and then stable-sorted
-    by distance. A row with more than k entries at or below its k-th
-    distance ties at the cut-off, and argpartition may have picked any of
-    the tied columns, so that row is re-selected by a full stable argsort.
-    """
-    cand = np.argpartition(dists, k - 1, axis=1)[:, :k]
+    part = np.argpartition(keys, k - 1, axis=1)
+    kth = np.take_along_axis(keys, part[:, k - 1 : k], axis=1)
+    cand = part[:, :k]
     cand.sort(axis=1)
-    by_dist = np.argsort(np.take_along_axis(dists, cand, axis=1), axis=1, kind="stable")
-    nbr = np.take_along_axis(cand, by_dist, axis=1)
-    kth = np.take_along_axis(dists, nbr[:, -1:], axis=1)
-    # count the entries above the cut-off: nothing compares above a NaN
-    # cut-off (overflowing features), so such a row also takes the full sort
-    tied = np.flatnonzero(np.count_nonzero(dists > kth, axis=1) < dists.shape[1] - k)
+    root = np.take_along_axis(keys, cand, axis=1)
+    if squared:
+        np.sqrt(root, out=root)
+        kth = kth * (1.0 + 2.0**-49)
+    nbr = np.take_along_axis(cand, np.argsort(root, axis=1, kind="stable"), axis=1)
+    # count the keys above the bound: nothing compares above a NaN bound
+    # (overflowing features), so such a row also takes the full sort
+    tied = np.flatnonzero(np.count_nonzero(keys > kth, axis=1) < keys.shape[1] - k)
     if tied.size:
-        nbr[tied] = np.argsort(dists[tied], axis=1, kind="stable")[:, :k]
-    return nbr
+        full = np.sqrt(keys[tied]) if squared else keys[tied]
+        nbr[tied] = np.argsort(full, axis=1, kind="stable")[:, :k]
+    dist = np.take_along_axis(keys, nbr, axis=1)
+    return nbr, np.sqrt(dist) if squared else dist
 
 
 def knn_graph(features, spec, metric=None):
@@ -186,10 +182,10 @@ def knn_graph(features, spec, metric=None):
     of j or vice versa. Self-edges are excluded; distance ties are broken
     by lower vertex index, exactly as a stable argsort of each distance
     row would break them. Each row selects k = max(N, M) candidates for
-    local scaling and k = N otherwise by partial selection; rows that tie
-    at the k-th distance fall back to the full stable sort. Edge weights
-    follow `spec`. metric None means "cosine_distance" for cosine weights
-    and "euclidean" otherwise.
+    local scaling and k = N otherwise by partial selection on squared
+    distances; rows that may tie at the k-th distance fall back to the full
+    stable sort. Edge weights follow `spec`. metric None means
+    "cosine_distance" for cosine weights and "euclidean" otherwise.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 2:
@@ -213,8 +209,10 @@ def knn_graph(features, spec, metric=None):
             raise ValueError(f"zero feature vector at row {zero[0]}")
         features = features / norms[:, None]
         sq_norms = None
-    else:
+    elif metric == "euclidean":
         sq_norms = np.einsum("ij,ij->i", features, features)
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
 
     n_nbr = spec.neighbors
     m = spec.m_scale
@@ -222,25 +220,40 @@ def knn_graph(features, spec, metric=None):
     tau = np.empty(n) if spec.kind == "local_scaling" else None
     k = max(n_nbr, m) if tau is not None else n_nbr
 
+    squared = sq_norms is not None
+    g = np.empty((min(_BLOCK_ROWS, n), n))  # one GEMM block, reused
+    chunk = max(1, _CHUNK_BYTES // (8 * n))
+    tmp = np.empty((min(chunk, n), n)) if squared else None
     for start in range(0, n, _BLOCK_ROWS):
-        block = np.arange(start, min(start + _BLOCK_ROWS, n))
-        dists = _pairwise_block(features, block, metric, sq_norms)
-        dists[np.arange(block.size), block] = np.inf  # exclude self
-        order = _nearest(dists, k)
-        nbr = order[:, :n_nbr]
-        nbr_d = np.take_along_axis(dists, nbr, axis=1)
-        src_list.append(np.repeat(block, n_nbr))
-        dst_list.append(nbr.ravel())
-        dist_list.append(nbr_d.ravel())
-        if tau is not None:
-            dm = np.take_along_axis(dists, order[:, m - 1 : m], axis=1)[:, 0]
-            if np.any(dm == 0):
-                bad = block[np.flatnonzero(dm == 0)[0]]
-                raise ValueError(
-                    f"vertex {bad}: zero local scale (duplicate point at the "
-                    f"M={m} neighbor)"
-                )
-            tau[block] = dm**2
+        stop = min(start + _BLOCK_ROWS, n)
+        # multiply a copy of the rows: for n <= _BLOCK_ROWS a view would be the
+        # whole matrix, and numpy rounds A @ A.T on its symmetric path
+        np.matmul(features[start:stop].copy(), features.T, out=g[: stop - start])
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            block = np.arange(lo, hi)
+            keys = g[lo - start : hi - start]
+            if squared:  # d^2 = (|x_i|^2 + |x_j|^2) - 2 g, rounded in that order
+                keys *= 2.0
+                np.add(sq_norms[lo:hi, None], sq_norms, out=tmp[: hi - lo])
+                np.subtract(tmp[: hi - lo], keys, out=keys)
+                np.maximum(keys, 0.0, out=keys)
+            else:
+                np.subtract(1.0, keys, out=keys)
+            keys[np.arange(hi - lo), block] = np.inf  # exclude self
+            nbr, dist = _nearest(keys, k, squared)
+            src_list.append(np.repeat(block, n_nbr))
+            dst_list.append(nbr[:, :n_nbr].ravel())
+            dist_list.append(dist[:, :n_nbr].ravel())
+            if tau is not None:
+                dm = dist[:, m - 1]
+                if np.any(dm == 0):
+                    bad = block[np.flatnonzero(dm == 0)[0]]
+                    raise ValueError(
+                        f"vertex {bad}: zero local scale (duplicate point at the "
+                        f"M={m} neighbor)"
+                    )
+                tau[block] = dm**2
 
     src = np.concatenate(src_list)
     dst = np.concatenate(dst_list)

@@ -61,12 +61,7 @@ def nearest_vertex(v):
 
 def nearest_vertices(V):
     """Row-wise nearest simplex vertex indices for an (n, K) array
-    (ties -> lowest index, as np.argmax), one class column at a time."""
+    (ties -> lowest index)."""
     V = np.asarray(V, dtype=float)
     _check_finite(V)
-    best = V[:, 0]
-    index = np.zeros(V.shape[0], dtype=np.intp)
-    for j in range(1, V.shape[1]):
-        index = np.where(V[:, j] > best, j, index)
-        best = np.maximum(best, V[:, j])
-    return index
+    return np.argmax(V, axis=1)

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from graphseg.data import MoonsSpec, generate_three_moons
 from graphseg.graph import (
     SparseWeightGraph,
     WeightSpec,
+    _nearest,
     gaussian_weight,
     knn_graph,
     load_graph,
@@ -223,6 +226,102 @@ class TestMatchesFullSortReference:
             assert_matches_reference(
                 feats, WeightSpec(kind="local_scaling", neighbors=5, m_scale=7)
             )
+
+    # normal features give distances that integer features cannot: n = 300
+    # is one block holding the whole matrix, n = 1100 has a partial last
+    # block and a partial last chunk
+    @pytest.mark.parametrize("n", [300, 1100])
+    @pytest.mark.parametrize("kind", ["local_scaling", "cosine"])
+    def test_normal_features(self, n, kind):
+        feats = np.random.default_rng(n).normal(size=(n, 5))
+        if kind == "cosine":
+            assert_matches_reference(feats, WeightSpec(kind="cosine", neighbors=7),
+                                     "cosine_distance")
+        else:
+            assert_matches_reference(
+                feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)
+            )
+
+
+def _nearby(x, steps):
+    """x moved by `steps` adjacent doubles."""
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def near_keys(draw, squared):
+    """Rows of keys drawn from one to three base values and their
+    np.nextafter neighbours, so that distinct keys share a root at the
+    cut-off, with a few inf and NaN entries among them."""
+    bases = [0.0, 5e-324, 0.25, 1.0, 2.0, 7.0, 1e300]
+    if not squared:
+        bases += [-0.0, -1e-16, -1.0]
+    used = draw(st.lists(st.sampled_from(bases), min_size=1, max_size=3))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    keys = np.array(
+        [_nearby(draw(st.sampled_from(used)), draw(st.integers(-3, 3)))
+         for _ in range(shape[0] * shape[1])]
+    )
+    if squared:
+        keys = np.abs(keys)
+    for at, value in draw(st.lists(st.tuples(st.integers(0, keys.size - 1),
+                                             st.sampled_from([np.inf, np.nan])),
+                                   max_size=3)):
+        keys[at] = value
+    return keys.reshape(shape)
+
+
+class TestNearestSelector:
+    """_nearest selects on the keys (squared distances or cosine distances)
+    and must give the first k columns of the stable argsort of the
+    distances, and the distances there, byte for byte."""
+
+    @staticmethod
+    def check(keys, k, squared):
+        keys = np.array(keys, dtype=float)
+        with np.errstate(invalid="ignore"):
+            dist = np.sqrt(keys) if squared else keys.copy()
+        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nbr, got = _nearest(keys.copy(), k, squared)
+        assert nbr.tobytes() == order.tobytes()
+        assert got.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
+
+    @pytest.mark.parametrize("squared", [True, False])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_stable_sort(self, squared, data):
+        keys = data.draw(near_keys(squared), label="keys")
+        k = data.draw(st.integers(1, keys.shape[1]), label="k")
+        self.check(keys, k, squared)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_roots_tie_where_keys_differ(self, k):
+        # both keys have the root 1.0: the stable sort takes index 0 first,
+        # while ordering by the key alone would take index 1 first
+        above = np.nextafter(1.0, 2.0)
+        assert np.sqrt(above) == np.sqrt(1.0)
+        keys = [[above, 1.0, 4.0]]
+        nbr, _ = _nearest(np.array(keys), k, True)
+        assert nbr[0, 0] == 0
+        self.check(keys, k, True)
+
+
+@pytest.mark.parametrize("per_class, limit_mib", [(1000, 24), (2000, 40)])
+def test_knn_graph_transient_memory(per_class, limit_mib):
+    # the distance block is built in one reused buffer, not in fresh
+    # temporaries per block; tracemalloc sees numpy's buffers
+    feats = generate_three_moons(MoonsSpec(points_per_class=per_class, seed=0)).features
+    spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        knn_graph(feats, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20
 
 
 class TestNormalizedLaplacian:

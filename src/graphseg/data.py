@@ -5,8 +5,8 @@ embedded in R^100), headerless CSV feature/label I/O, the big-endian IDX
 image format used by MNIST, and per-class fidelity sampling.
 """
 
-import csv
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,24 +81,25 @@ def generate_three_moons(spec=MoonsSpec()):
 
 def load_features_csv(path):
     """Parse a headerless CSV of decimal floats, one sample per row."""
-    rows = []
-    width = None
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2, comments=None)
+        except UserWarning:
+            raise ValueError(f"{path}: empty feature file") from None
+        except ValueError as exc:
+            error = exc
+    # loadtxt counts rows from 0 in one message and from 1 in another
     with open(path) as f:
-        for lineno, record in enumerate(csv.reader(f), start=1):
-            if not record:
-                continue
-            try:
-                row = [float(cell) for cell in record]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"{path}:{lineno}: ragged row")
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: empty feature file")
-    return np.asarray(rows)
+        rows = [(n, line.split(",")) for n, line in enumerate(f, start=1) if line != "\n"]
+    for lineno, cells in rows:
+        try:
+            [float(cell) for cell in cells]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell") from error
+        if len(cells) != len(rows[0][1]):
+            raise ValueError(f"{path}:{lineno}: ragged row") from error
+    raise ValueError(f"{path}: {error}") from error
 
 
 def save_features_csv(features, path):

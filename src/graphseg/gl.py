@@ -73,8 +73,8 @@ class GLResult:
 
 def _row_l1_to_vertices(u):
     """A[i, l] = ||u_i - e_l||_1 for each row i and class l."""
-    s = row_sum(np.abs(u))[:, None]
-    return s - np.abs(u) + np.abs(u - 1.0)
+    a = np.abs(u)
+    return row_sum(a)[:, None] - a + np.abs(u - 1.0)
 
 
 def multiclass_energy(u, operator, fidelity, epsilon):

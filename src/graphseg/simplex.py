@@ -1,9 +1,11 @@
 """Gibbs-simplex geometry: Euclidean projection and nearest-vertex thresholding.
 
 The Gibbs simplex is the set of length-K vectors with nonnegative entries
-summing to one. Projection uses the sort-based O(K log K) algorithm
-(descending sort, running-sum threshold).
+summing to one. Projection sorts each row with Batcher's odd-even merge
+network on whole class columns, then applies the running-sum threshold.
 """
+
+import functools
 
 import numpy as np
 
@@ -13,6 +15,18 @@ __all__ = ["project_to_simplex", "project_rows", "nearest_vertex", "nearest_vert
 def _check_finite(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("simplex operation received non-finite entries")
+
+
+@functools.cache
+def _comparators(k):
+    """Batcher's merge exchange for k keys (Knuth, TAOCP 5.3.4, Algorithm M)."""
+    t, pairs = (k - 1).bit_length(), []
+    for p in (1 << e for e in range(t - 1, -1, -1)):
+        q, r, d = 1 << t >> 1, 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(k - d) if i & p == r]
+            q, r, d = q >> 1, p, q - p if q != p else 0
+    return tuple(pairs)
 
 
 def project_to_simplex(v):
@@ -29,19 +43,23 @@ def project_to_simplex(v):
 def project_rows(V):
     """Project each row of an (n, K) array onto the Gibbs simplex.
 
-    After the sort, every step is an operation on a whole class column (a
-    reduction along short rows costs about 20 ns a row), in the order of
-    np.cumsum and np.argmax, so the bytes equal the row-wise form's.
+    Every step, the sort included, is an operation on whole class columns,
+    in the order of np.cumsum and np.argmax, so the bytes equal the row-wise
+    form's: the network gives np.sort's values, bar the order of a -0.0/+0.0
+    tie, which no threshold sees. Inputs are checked first, because
+    np.minimum and np.maximum spread a NaN that np.sort would move last.
     """
     V = np.asarray(V, dtype=float)
     _check_finite(V)
     _, k = V.shape
-    s = np.sort(V, axis=1)  # column k - 1 - j holds the j-th largest entry
+    s = [V[:, j] for j in range(k)]  # sorted: s[k - 1 - j] is the j-th largest
+    for a, b in _comparators(k):
+        s[a], s[b] = np.minimum(s[a], s[b]), np.maximum(s[a], s[b])
     # theta_j = (cumsum_j - 1)/(j + 1); theta is theta_rho at the last rho with
     # s_rho - theta_rho > 0, else theta_{k-1} (argmax of an all-False row is 0)
     thetas, holds = [], []
     for j in range(k):
-        col = s[:, k - 1 - j]
+        col = s[k - 1 - j]
         c = col if j == 0 else c + col
         thetas.append((c - 1.0) / (j + 1))
         holds.append(col - thetas[-1] > 0)

@@ -90,7 +90,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, seed=0, max_matvecs=None):
         v0 = rng.standard_normal(n)
         flipped = 2.0 * sp.identity(n, format="csr") - ls
         if max_matvecs is None:
-            max_matvecs = 40 * n_e
+            max_matvecs = 100 * n_e
         ncv = min(n, max(2 * n_e + 1, 20))
         maxiter = max(max_matvecs // ncv, 2)
         try:

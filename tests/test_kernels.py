@@ -64,7 +64,7 @@ def test_row_sum_matches_numpy(x):
         assert_same_bytes(row_sum(x), np.sum(x, axis=1))
 
 
-@given(fields)
+@given(fields_of(40))  # K up to 40 runs sorting networks six merge levels deep
 @example(ALL_FALSE)
 @example(ON_VERTICES)
 @example(TIED)

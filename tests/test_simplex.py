@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphseg.simplex import (
+    _comparators,
     nearest_vertex,
     nearest_vertices,
     project_rows,
@@ -44,6 +45,17 @@ def test_projection_matches_grid_oracle_bulk():
         fast = project_to_simplex(v)
         slow = grid_project_simplex(v)
         assert np.max(np.abs(fast - slow)) <= 1e-6
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_sorting_network_sorts_all_zero_one_vectors(k):
+    # 0-1 principle (Knuth, TAOCP 5.3.4, Theorem Z): a comparator network
+    # that sorts all 2**k vectors of zeros and ones sorts every input
+    bits = (np.arange(2**k)[:, None] >> np.arange(k)) & 1
+    cols = list(bits.T)
+    for a, b in _comparators(k):
+        cols[a], cols[b] = np.minimum(cols[a], cols[b]), np.maximum(cols[a], cols[b])
+    assert np.array_equal(np.stack(cols, axis=1), np.sort(bits, axis=1))
 
 
 def test_projection_rejects_non_finite():

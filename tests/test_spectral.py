@@ -89,6 +89,12 @@ class TestExactSolver:
         assert exc.value.residuals is not None
         assert np.all(exc.value.residuals > 1e-30)
 
+    def test_matvec_budget_reports_non_convergence(self, moons_laplacian):
+        with pytest.raises(
+            EigensolverError, match="did not converge within 30 matrix applications"
+        ):
+            smallest_eigenpairs(moons_laplacian, 5, max_matvecs=30)
+
     def test_parameter_validation(self, moons_laplacian):
         with pytest.raises(ValueError):
             smallest_eigenpairs(moons_laplacian, 0)

@@ -74,7 +74,7 @@ def cmd_graph(args):
     spec = _weight_spec(args)
     features = load_features_csv(_require_file(args.features))
     try:
-        graph = knn_graph(features, spec, metric=args.metric)
+        graph = knn_graph(features, spec)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     save_graph(graph, args.out)
@@ -99,9 +99,12 @@ def cmd_eigs(args):
             raise ValidationError("--nystrom requires --sample")
         import numpy as np
 
+        from graphseg.graph import WeightSpec
+
         features = load_features_csv(_require_file(args.input))
-        spec = _weight_spec(args)
         try:
+            # the Nystrom kernel is fully connected: no neighbor count
+            spec = WeightSpec(kind=args.weight, neighbors=1, sigma=args.sigma)
             basis = nystrom_eigenpairs(
                 features, spec, args.sample, args.n_e, seed=args.seed
             )
@@ -261,7 +264,6 @@ def cmd_bench(args):
             per_class=args.fidelity_per_class,
             n_seeds=args.seeds,
             base_seed=args.seed,
-            metric=args.metric,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -275,15 +277,18 @@ def cmd_bench(args):
     return 0
 
 
-def _add_weight_flags(p):
+def _add_kernel_flags(p):
     p.add_argument("--weight", choices=["gaussian", "local_scaling", "cosine"],
-                   default="local_scaling")
-    p.add_argument("--neighbors", type=int, default=10)
+                   default="local_scaling",
+                   help="cosine weights rank neighbors by cosine distance, "
+                        "the others by Euclidean distance")
     p.add_argument("--sigma", type=float, default=1.0)
+
+
+def _add_weight_flags(p):
+    _add_kernel_flags(p)
+    p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--m-scale", type=int, default=1)
-    p.add_argument("--metric", choices=["euclidean", "cosine_distance"],
-                   default=None,
-                   help="default: cosine_distance for cosine weights, else euclidean")
 
 
 def _add_solver_flags(p):
@@ -321,7 +326,7 @@ def build_parser():
     p.add_argument("--nystrom", action="store_true")
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    _add_weight_flags(p)
+    _add_kernel_flags(p)
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("segment", help="segment from a cached spectral basis")

@@ -108,7 +108,7 @@ def save_features_csv(features, path):
             f.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def load_labels_csv(path, n_classes=None):
+def load_labels_csv(path):
     """Parse one 0-based class index per line."""
     labels = []
     with open(path) as f:
@@ -120,7 +120,7 @@ def load_labels_csv(path, n_classes=None):
                 labels.append(int(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer label") from exc
-            if labels[-1] < 0 or (n_classes is not None and labels[-1] >= n_classes):
+            if labels[-1] < 0:
                 raise ValueError(f"{path}:{lineno}: label out of range")
     if not labels:
         raise ValueError(f"{path}: empty label file")
@@ -192,19 +192,24 @@ def _per_class_counts(dataset, per_class):
     return counts
 
 
+def _pick_per_class(dataset, per_class, seed):
+    """Indices drawn uniformly without replacement from each class in turn,
+    `per_class` as _per_class_counts reads it."""
+    rng = np.random.default_rng(seed)
+    counts = _per_class_counts(dataset, per_class)
+    return np.concatenate([
+        rng.choice(np.flatnonzero(dataset.labels == c), size=counts[c], replace=False)
+        for c in range(dataset.n_classes)
+    ])
+
+
 def sample_fidelity(dataset, per_class, seed, mu):
     """Uniform per-class sampling without replacement into a FidelitySet.
 
     per_class is either an integer count per class or a float fraction of
     the dataset sampled proportionally across classes.
     """
-    rng = np.random.default_rng(seed)
-    counts = _per_class_counts(dataset, per_class)
-    picked = []
-    for c in range(dataset.n_classes):
-        members = np.flatnonzero(dataset.labels == c)
-        picked.append(rng.choice(members, size=counts[c], replace=False))
-    indices = np.concatenate(picked)
+    indices = _pick_per_class(dataset, per_class, seed)
     return FidelitySet.from_labels(
         indices, dataset.labels[indices], dataset.n_classes, mu
     )
@@ -213,13 +218,7 @@ def sample_fidelity(dataset, per_class, seed, mu):
 def stratified_subset(dataset, n_samples, seed):
     """Class-proportional random subset of a dataset (largest-remainder
     rounding), preserving the original class set."""
-    rng = np.random.default_rng(seed)
-    counts = _per_class_counts(dataset, n_samples / dataset.labels.size)
-    picked = []
-    for c in range(dataset.n_classes):
-        members = np.flatnonzero(dataset.labels == c)
-        picked.append(rng.choice(members, size=counts[c], replace=False))
-    indices = np.sort(np.concatenate(picked))
+    indices = np.sort(_pick_per_class(dataset, n_samples / dataset.labels.size, seed))
     return LabeledDataset(
         dataset.features[indices], dataset.labels[indices], dataset.n_classes
     )

@@ -27,6 +27,9 @@ __all__ = [
     "write_report",
 ]
 
+# residual bound of the benchmark's eigenpairs
+_EIG_TOL = 1e-6
+
 
 def accuracy(predicted, truth):
     """Fraction of exact label matches."""
@@ -80,40 +83,21 @@ class BenchmarkReport:
         return asdict(self)
 
 
-def run_benchmark(
-    dataset,
-    weight_spec,
-    solver,
-    config,
-    per_class,
-    n_seeds=10,
-    base_seed=0,
-    eig_tol=1e-6,
-    metric=None,
-    basis=None,
-):
+def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, base_seed=0):
     """Run the full pipeline n_seeds times over a shared graph and spectrum.
 
     Seed schedule is base_seed + run_index, applied to both fidelity
     sampling and solver initialization. `config` is a GLConfig or
-    MBOConfig matching `solver` ("gl" or "mbo"). `metric` is passed to
-    knn_graph; None picks it from the weight kind. A precomputed basis may
-    be supplied to skip the graph and eigenvector stages.
+    MBOConfig matching `solver` ("gl" or "mbo").
     """
     if solver not in ("gl", "mbo"):
         raise ValueError(f"unknown solver {solver!r}")
-    timings = {}
-    if basis is None:
-        t0 = time.perf_counter()
-        graph = knn_graph(dataset.features, weight_spec, metric=metric)
-        lap = normalized_laplacian(graph)
-        timings["graph"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        basis = smallest_eigenpairs(lap, config.n_e, tol=eig_tol)
-        timings["eigenvectors"] = time.perf_counter() - t0
-    else:
-        timings["graph"] = 0.0
-        timings["eigenvectors"] = 0.0
+    t0 = time.perf_counter()
+    lap = normalized_laplacian(knn_graph(dataset.features, weight_spec))
+    timings = {"graph": time.perf_counter() - t0}
+    t0 = time.perf_counter()
+    basis = smallest_eigenpairs(lap, config.n_e, tol=_EIG_TOL)
+    timings["eigenvectors"] = time.perf_counter() - t0
 
     seeds, accs, iters, conv, solver_times = [], [], [], [], []
     for run in range(n_seeds):

@@ -111,14 +111,19 @@ def spectral_solve(basis, n_e, r, shift, scale):
     """X diag(1 / (shift + scale lambda)) X^T r in the truncated basis.
 
     Solves (shift I + scale L_s) u = r restricted to the span of the
-    basis; n_e is the basis size the solver's config expects.
+    basis; n_e is the basis size the solver's config expects. Both solvers
+    make their new fields here, so a non-finite result raises
+    FloatingPointError for either.
     """
     if basis.n_e != n_e:
         raise ValueError(f"basis has {basis.n_e} eigenpairs, config expects {n_e}")
     if r.shape[0] != basis.n_vertices:
         raise ValueError("field and basis dimensions do not match")
     weights = 1.0 / (shift + scale * basis.eigenvalues)
-    return basis.eigenvectors @ (weights[:, None] * (basis.eigenvectors.T @ r))
+    u = basis.eigenvectors @ (weights[:, None] * (basis.eigenvectors.T @ r))
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("non-finite values in the spectral solve")
+    return u
 
 
 def iterate(step, u0, eta, max_iters):

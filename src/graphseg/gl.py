@@ -133,10 +133,7 @@ def gl_step(u, basis, fidelity, cfg):
     shift = 1.0 + cfg.c * cfg.dt
     r = shift * u - (cfg.dt / (2.0 * cfg.epsilon)) * well_derivative(u)
     r[fidelity.indices] -= cfg.dt * fidelity.mu * (u[fidelity.indices] - fidelity.targets)
-    u_new = spectral_solve(basis, cfg.n_e, r, shift, cfg.epsilon * cfg.dt)
-    if not np.all(np.isfinite(u_new)):
-        raise FloatingPointError("non-finite values in convex-splitting update")
-    return project_rows(u_new)
+    return project_rows(spectral_solve(basis, cfg.n_e, r, shift, cfg.epsilon * cfg.dt))
 
 
 def gl_segment(basis, fidelity, cfg):

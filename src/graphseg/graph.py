@@ -7,7 +7,8 @@ Neighborhoods are union-symmetrized: i~j if i is among j's N nearest
 neighbors or vice versa.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,20 +64,17 @@ class SparseWeightGraph:
     """Symmetric weighted graph stored as an upper-triangular edge list.
 
     Edges are (rows[k], cols[k], weights[k]) with rows[k] < cols[k] and
-    weights[k] > 0; degrees[i] = sum of weights incident to i.
+    weights[k] > 0; degrees[i] = sum of weights incident to i, summed from
+    the edge list on first use.
     """
 
     n_vertices: int
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.degrees is None:
-            object.__setattr__(self, "degrees", self._compute_degrees())
-
-    def _compute_degrees(self):
+    @functools.cached_property
+    def degrees(self):
         d = np.zeros(self.n_vertices)
         np.add.at(d, self.rows, self.weights)
         np.add.at(d, self.cols, self.weights)
@@ -89,8 +87,6 @@ class SparseWeightGraph:
             raise ValueError("vertex indices must lie in [0, n)")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValueError("edge weights must be finite and positive")
-        if not np.array_equal(self.degrees, self._compute_degrees()):
-            raise ValueError("stored degrees do not match the edge list")
 
     @property
     def n_edges(self):
@@ -175,7 +171,16 @@ def _nearest(keys, k, squared):
     return nbr, np.sqrt(dist) if squared else dist
 
 
-def knn_graph(features, spec, metric=None):
+def unit_rows(features):
+    """The rows of `features` scaled to unit Euclidean norm; a zero row raises."""
+    norms = np.linalg.norm(features, axis=1)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ValueError(f"zero feature vector at row {zero[0]}")
+    return features / norms[:, None]
+
+
+def knn_graph(features, spec):
     """Build the union-symmetrized N-nearest-neighbor weight graph.
 
     Vertices i and j are connected iff i is among the N nearest neighbors
@@ -184,8 +189,8 @@ def knn_graph(features, spec, metric=None):
     row would break them. Each row selects k = max(N, M) candidates for
     local scaling and k = N otherwise by partial selection on squared
     distances; rows that may tie at the k-th distance fall back to the full
-    stable sort. Edge weights follow `spec`. metric None means
-    "cosine_distance" for cosine weights and "euclidean" otherwise.
+    stable sort. Edge weights follow `spec`. Cosine weights rank neighbors
+    by cosine distance, the others by Euclidean distance.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 2:
@@ -197,22 +202,11 @@ def knn_graph(features, spec, metric=None):
         raise ValueError(f"neighbors N={spec.neighbors} must be < N_D={n}")
     if spec.kind == "local_scaling" and spec.m_scale >= n:
         raise ValueError(f"local scale index M={spec.m_scale} must be < N_D={n}")
-    if metric is None:
-        metric = "cosine_distance" if spec.kind == "cosine" else "euclidean"
-    if spec.kind == "cosine" and metric != "cosine_distance":
-        raise ValueError("cosine weights require the cosine_distance metric")
-
-    if metric == "cosine_distance":
-        norms = np.linalg.norm(features, axis=1)
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise ValueError(f"zero feature vector at row {zero[0]}")
-        features = features / norms[:, None]
+    if spec.kind == "cosine":
+        features = unit_rows(features)
         sq_norms = None
-    elif metric == "euclidean":
-        sq_norms = np.einsum("ij,ij->i", features, features)
     else:
-        raise ValueError(f"unknown metric {metric!r}")
+        sq_norms = np.einsum("ij,ij->i", features, features)
 
     n_nbr = spec.neighbors
     m = spec.m_scale
@@ -297,10 +291,10 @@ def save_graph(graph, path):
 
 
 def load_graph(path):
-    """Load a graph cache, recomputing degrees and validating invariants."""
+    """Load a graph cache and validate its invariants."""
     n, rows, cols, weights = load_arrays(
         path, "edge cache", ("n_vertices", "rows", "cols", "weights"))
-    # degrees are summed at these indices, so check them before building
+    # the degrees are summed at these indices, so check them here
     if not (all(a.dtype.kind in "iu" for a in (n, rows, cols)) and n.shape == ()
             and rows.shape == cols.shape == weights.shape == (weights.size,)
             and np.all((0 <= rows) & (rows < cols) & (cols < n))):

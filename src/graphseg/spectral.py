@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from graphseg.cache import load_arrays, save_arrays
-from graphseg.graph import NormalizedLaplacian
+from graphseg.graph import NormalizedLaplacian, unit_rows
 
 __all__ = [
     "SpectralBasis",
@@ -122,7 +122,8 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, seed=0, max_matvecs=None):
 
 
 def _kernel_block(features, rows, cols, spec):
-    """Fully connected kernel block W[rows, cols] for a weight spec."""
+    """Fully connected kernel block W[rows, cols] for a weight spec; cosine
+    weights take features with unit rows."""
     if spec.kind == "gaussian":
         a, b = features[rows], features[cols]
         d2 = (
@@ -132,17 +133,7 @@ def _kernel_block(features, rows, cols, spec):
         )
         np.maximum(d2, 0.0, out=d2)
         return np.exp(-d2 / spec.sigma**2)
-    if spec.kind == "cosine":
-        norms = np.linalg.norm(features, axis=1)
-        zero = np.flatnonzero(norms == 0)
-        if zero.size:
-            raise ValueError(f"zero feature vector at row {zero[0]}")
-        fn = features / norms[:, None]
-        return np.maximum(fn[rows] @ fn[cols].T, 0.0)
-    raise ValueError(
-        "Nystrom extension supports gaussian and cosine kernels only; "
-        "local scaling needs all pairwise distances"
-    )
+    return np.maximum(features[rows] @ features[cols].T, 0.0)
 
 
 def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
@@ -157,6 +148,13 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
     n = features.shape[0]
     if not n_e <= sample_size <= n:
         raise ValueError("need n_e <= sample_size <= N_D")
+    if spec.kind == "local_scaling":
+        raise ValueError(
+            "Nystrom extension supports gaussian and cosine kernels only; "
+            "local scaling needs all pairwise distances"
+        )
+    if spec.kind == "cosine":
+        features = unit_rows(features)
 
     rng = np.random.default_rng(seed)
     landmarks = np.sort(rng.choice(n, size=sample_size, replace=False))
@@ -231,9 +229,15 @@ def save_basis(basis, path):
 
 
 def load_basis(path):
-    """Load an eigencache file written by save_basis."""
+    """Load an eigencache file written by save_basis.
+
+    Eigenvalues and eigenvectors must be finite real floats: the solvers
+    would read a NaN as a numerical failure.
+    """
     vals, vecs, method = load_arrays(
         path, "eigencache", ("eigenvalues", "eigenvectors", "method"))
+    if not all(a.dtype.kind == "f" and np.all(np.isfinite(a)) for a in (vals, vecs)):
+        raise ValueError(f"{path}: not a graphseg eigencache")
     if vals.ndim != 1 or vecs.shape[1:] != vals.shape:
         raise ValueError(f"{path}: eigencache dimensions do not match")
     return SpectralBasis(vals, vecs, str(method))

@@ -5,7 +5,9 @@ import pytest
 
 from graphseg.cli import main
 from graphseg.data import save_features_csv, save_labels_csv
-from graphseg.graph import SparseWeightGraph, save_graph
+from graphseg.graph import SparseWeightGraph, WeightSpec, load_graph, save_graph
+from graphseg.spectral import SpectralBasis, save_basis
+from oracles import knn_graph_reference
 
 
 @pytest.fixture()
@@ -86,6 +88,14 @@ class TestPipeline:
         assert out.exists()  # partial result still written
         assert "did not converge" in capsys.readouterr().err
 
+    def test_blow_up_exit_code(self, tmp_path, blob_files, capsys):
+        # the fidelity forcing overflows in the first MBO diffusion sub-step
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _ = run_pipeline(tmp_path, blob_files, segment_args=(
+                "--solver", "mbo", "--mu", "1e306", "--dt", "10"))
+        assert code == 3
+        assert "non-finite values in the spectral solve" in capsys.readouterr().err
+
 
 class TestValidation:
     def test_missing_input_file(self, tmp_path, capsys):
@@ -126,10 +136,7 @@ class TestValidation:
 
     def test_out_of_range_graph_cache(self, tmp_path, capsys):
         graph = tmp_path / "graph.txt"
-        # explicit degrees: summing them at vertex 5 of 3 would raise here
-        bad = SparseWeightGraph(
-            3, np.array([1]), np.array([5]), np.array([0.5]), degrees=np.zeros(3)
-        )
+        bad = SparseWeightGraph(3, np.array([1]), np.array([5]), np.array([0.5]))
         save_graph(bad, graph)
         code = main(["eigs", str(graph), "--out", str(tmp_path / "e.txt"), "--n-e", "2"])
         assert code == 2
@@ -149,13 +156,42 @@ class TestValidation:
         assert code == 2
         assert "epsilon" in capsys.readouterr().err
 
-    def test_cosine_weights_choose_their_metric(self, tmp_path, blob_files, capsys):
+    def test_cosine_weights_choose_their_metric(self, tmp_path, blobs, blob_files):
         features, _ = blob_files
-        args = ["graph", str(features), "--out", str(tmp_path / "g.txt"),
-                "--weight", "cosine", "--neighbors", "2"]
-        assert main(args) == 0
-        assert main([*args, "--metric", "euclidean"]) == 2
-        assert "cosine_distance metric" in capsys.readouterr().err
+        graph = tmp_path / "g.txt"
+        spec = WeightSpec(kind="cosine", neighbors=2)
+        assert main(["graph", str(features), "--out", str(graph),
+                     "--weight", "cosine", "--neighbors", "2"]) == 0
+        got, expected = load_graph(graph), knn_graph_reference(blobs.features, spec)
+        for name in ("rows", "cols", "weights"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["graph", "f.csv", "--out", "g.txt", "--metric", "euclidean"],
+                     id="graph-metric"),
+        pytest.param(["eigs", "g.txt", "--out", "e.txt", "--n-e", "3", "--metric", "euclidean"],
+                     id="eigs-metric"),
+        pytest.param(["eigs", "g.txt", "--out", "e.txt", "--n-e", "3", "--neighbors", "7"],
+                     id="eigs-neighbors"),
+        pytest.param(["eigs", "g.txt", "--out", "e.txt", "--n-e", "3", "--m-scale", "9"],
+                     id="eigs-m-scale"),
+        pytest.param(["bench", "--dataset", "moons", "--metric", "cosine_distance"],
+                     id="bench-metric"),
+    ])
+    def test_removed_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_non_finite_eigencache(self, tmp_path, blobs, blob_files, capsys):
+        _, labels = blob_files
+        eigs = tmp_path / "eigs.txt"
+        save_basis(SpectralBasis(np.zeros(2), np.full((blobs.labels.size, 2), np.nan), "exact"),
+                   eigs)
+        code = main(["segment", str(eigs), str(labels), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "not a graphseg eigencache" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -68,7 +68,7 @@ class TestCsvIO:
         labels = np.array([0, 2, 1, 1, 0])
         path = tmp_path / "l.csv"
         save_labels_csv(labels, path)
-        assert np.array_equal(load_labels_csv(path, n_classes=3), labels)
+        assert np.array_equal(load_labels_csv(path), labels)
 
     def test_feature_errors_name_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -87,9 +87,6 @@ class TestCsvIO:
         path.write_text("0\nfoo\n")
         with pytest.raises(ValueError, match=":2"):
             load_labels_csv(path)
-        path.write_text("0\n7\n")
-        with pytest.raises(ValueError, match="range"):
-            load_labels_csv(path, n_classes=3)
         path.write_text("-1\n")
         with pytest.raises(ValueError, match="range"):
             load_labels_csv(path)

@@ -115,25 +115,6 @@ class TestBenchmark:
         timings = json.loads(paths[0][1].read_text())
         assert len(timings["solver"]) == 3
 
-    def test_precomputed_basis_skips_stages(self, blobs):
-        from graphseg.graph import knn_graph, normalized_laplacian
-        from graphseg.spectral import smallest_eigenpairs
-
-        basis = smallest_eigenpairs(
-            normalized_laplacian(knn_graph(blobs.features, self.spec)), 10
-        )
-        report = run_benchmark(
-            blobs,
-            self.spec,
-            "mbo",
-            MBOConfig(n_e=10, dt=1.0),
-            per_class=4,
-            n_seeds=1,
-            basis=basis,
-        )
-        assert report.timings["graph"] == 0.0
-        assert report.timings["eigenvectors"] == 0.0
-
     def test_unknown_solver_rejected(self, blobs):
         with pytest.raises(ValueError, match="solver"):
             run_benchmark(blobs, self.spec, "other", MBOConfig(n_e=5), per_class=2)

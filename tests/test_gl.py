@@ -250,6 +250,16 @@ class TestSegment:
         with pytest.raises(ValueError, match="every class"):
             gl_segment(moons_basis15, fid, GLConfig(n_e=15))
 
+    def test_blow_up_raises(self, moons_basis15):
+        # 1 + c dt overflows to inf, and inf * 0 is NaN
+        fid = FidelitySet.from_labels(
+            np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 1e307
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite values in the spectral solve"
+        ):
+            gl_segment(moons_basis15, fid, GLConfig(n_e=15, mu=1e307, dt=100.0))
+
     def test_max_iters_reports_non_convergence(self, moons_basis15):
         fid = FidelitySet.from_labels(
             np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 30.0

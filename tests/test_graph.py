@@ -33,17 +33,17 @@ def edge_set(graph):
     return set(zip(graph.rows.tolist(), graph.cols.tolist()))
 
 
-def assert_matches_reference(features, spec, metric="euclidean"):
+def assert_matches_reference(features, spec):
     """knn_graph gives the full-sort reference's graph byte for byte, or
     raises a ValueError with the same message."""
     try:
-        expected = knn_graph_reference(features, spec, metric=metric)
+        expected = knn_graph_reference(features, spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            knn_graph(features, spec, metric=metric)
+            knn_graph(features, spec)
         assert str(raised.value) == str(exc)
         return
-    got = knn_graph(features, spec, metric=metric)
+    got = knn_graph(features, spec)
     assert got.n_vertices == expected.n_vertices
     for name in ("rows", "cols", "weights", "degrees"):
         a, b = getattr(got, name), getattr(expected, name)
@@ -114,20 +114,9 @@ class TestKnnGraph:
         assert lookup[(1, 2)] == pytest.approx(np.exp(-4.0 / 2.0))
         assert lookup[(0, 2)] == pytest.approx(np.exp(-9.0 / 2.0))
 
-    def test_cosine_graph_requires_cosine_metric(self):
-        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(ValueError):
-            knn_graph(
-                feats, WeightSpec(kind="cosine", neighbors=1), metric="euclidean"
-            )
-
     def test_cosine_graph_weights(self):
         feats = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        g = knn_graph(
-            feats,
-            WeightSpec(kind="cosine", neighbors=2),
-            metric="cosine_distance",
-        )
+        g = knn_graph(feats, WeightSpec(kind="cosine", neighbors=2))
         lookup = dict(zip(edge_set(g), g.weights))
         assert lookup[(0, 1)] == pytest.approx(1 / np.sqrt(2))
         # orthogonal vectors give zero similarity; the edge is dropped
@@ -186,17 +175,15 @@ class TestMatchesFullSortReference:
         ).astype(float)
         top = n - 2 if case == "m_above_n" else n - 1
         neighbors = data.draw(st.integers(1, top), label="neighbors")
-        metric = "euclidean"
         if case == "gaussian":
             spec = WeightSpec(kind="gaussian", neighbors=neighbors, sigma=2.0)
         elif case == "cosine":
             spec = WeightSpec(kind="cosine", neighbors=neighbors)
-            metric = "cosine_distance"
         else:
             m_range = (1, neighbors) if case == "m_below_n" else (neighbors + 1, n - 1)
             m_scale = data.draw(st.integers(*m_range), label="m_scale")
             spec = WeightSpec(kind="local_scaling", neighbors=neighbors, m_scale=m_scale)
-        assert_matches_reference(feats, spec, metric)
+        assert_matches_reference(feats, spec)
 
     def test_moons(self, moons):
         spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
@@ -235,8 +222,7 @@ class TestMatchesFullSortReference:
     def test_normal_features(self, n, kind):
         feats = np.random.default_rng(n).normal(size=(n, 5))
         if kind == "cosine":
-            assert_matches_reference(feats, WeightSpec(kind="cosine", neighbors=7),
-                                     "cosine_distance")
+            assert_matches_reference(feats, WeightSpec(kind="cosine", neighbors=7))
         else:
             assert_matches_reference(
                 feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)
@@ -418,10 +404,7 @@ class TestEdgeCache:
         ],
     )
     def test_rejects_bad_indices_before_building(self, tmp_path, rows, cols):
-        # explicit degrees skip the np.add.at that such indices break
-        g = SparseWeightGraph(
-            3, np.array(rows), np.array(cols), np.full(len(rows), 0.5), degrees=np.zeros(3)
-        )
+        g = SparseWeightGraph(3, np.array(rows), np.array(cols), np.full(len(rows), 0.5))
         path = tmp_path / "graph.txt"
         save_graph(g, path)
         with pytest.raises(ValueError, match="not a graphseg edge cache"):
@@ -439,16 +422,8 @@ def test_weight_spec_validation():
         WeightSpec(kind="local_scaling", neighbors=3, m_scale=0)
 
 
-@pytest.mark.parametrize(
-    "rows, cols, degrees",
-    [
-        # np.add.at wraps -1 to vertex 2, so the degrees agree with the edge list
-        ([-1, 0], [1, 1], None),
-        ([0, 1], [1, 3], [0.5, 1.5, 0.0]),
-    ],
-)
-def test_validate_rejects_vertices_outside_the_graph(rows, cols, degrees):
-    g = SparseWeightGraph(3, np.array(rows), np.array(cols), np.array([0.5, 1.0]),
-                          None if degrees is None else np.array(degrees))
+@pytest.mark.parametrize("rows, cols", [([-1, 0], [1, 1]), ([0, 1], [1, 3])])
+def test_validate_rejects_vertices_outside_the_graph(rows, cols):
+    g = SparseWeightGraph(3, np.array(rows), np.array(cols), np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match=r"vertex indices must lie in \[0, n\)"):
         g.validate()

@@ -138,6 +138,16 @@ class TestSegment:
         assert not res.converged
         assert res.iterations == 1
 
+    def test_blow_up_raises(self, moons_basis20):
+        # dt mu overflows in the fidelity forcing of the first sub-step
+        fid = FidelitySet.from_labels(
+            np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 1e306
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite values in the spectral solve"
+        ):
+            mbo_segment(moons_basis20, fid, MBOConfig(n_e=20, mu=1e306, dt=10.0))
+
     def test_zero_dt_rejected_at_run_time(self, blobs):
         lap = normalized_laplacian(
             knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))

@@ -136,6 +136,34 @@ class TestNystrom:
         with pytest.raises(np.linalg.LinAlgError, match="sample"):
             nystrom_eigenpairs(feats, spec, sample_size=20, n_e=3, seed=0)
 
+    def test_cosine_full_sampling_matches_dense(self):
+        # nonnegative rows, as term counts are, in more dimensions than there
+        # are points: no similarity is clamped and the kernel is nonsingular
+        feats = np.random.default_rng(16).exponential(size=(30, 50))
+        spec = WeightSpec(kind="cosine", neighbors=1)
+        basis = nystrom_eigenpairs(feats, spec, sample_size=30, n_e=8, seed=0)
+        unit = feats / np.linalg.norm(feats, axis=1)[:, None]
+        w = np.maximum(unit @ unit.T, 0.0)
+        inv = 1.0 / np.sqrt(w.sum(axis=1))
+        vals = np.linalg.eigvalsh(np.eye(30) - inv[:, None] * w * inv[None, :])
+        assert np.max(np.abs(basis.eigenvalues - vals[:8])) <= 1e-6
+
+    def test_zero_row_rejected_as_by_knn_graph(self):
+        feats = np.random.default_rng(17).exponential(size=(20, 30))
+        feats[4] = 0.0
+        spec = WeightSpec(kind="cosine", neighbors=3)
+        with pytest.raises(ValueError) as knn:
+            knn_graph(feats, spec)
+        with pytest.raises(ValueError) as nystrom:
+            nystrom_eigenpairs(feats, spec, sample_size=10, n_e=3)
+        assert str(nystrom.value) == str(knn.value) == "zero feature vector at row 4"
+
+    def test_local_scaling_rejected(self):
+        feats = np.random.default_rng(18).normal(size=(20, 2))
+        spec = WeightSpec(kind="local_scaling", neighbors=3, m_scale=2)
+        with pytest.raises(ValueError, match="local scaling needs all pairwise distances"):
+            nystrom_eigenpairs(feats, spec, sample_size=10, n_e=3)
+
     def test_sample_size_bounds(self):
         feats = np.random.default_rng(0).normal(size=(30, 2))
         spec = WeightSpec(kind="gaussian", neighbors=1, sigma=1.0)
@@ -182,7 +210,8 @@ class TestEigencache:
         with pytest.raises(ValueError, match="eigencache"):
             load_basis(path)
 
-    @pytest.mark.parametrize("case", BAD_CACHE_CASES)
+    @pytest.mark.parametrize("case", [*BAD_CACHE_CASES, "nan eigenvectors",
+                                      "complex eigenvectors"])
     def test_rejects_bad_file(self, tmp_path, case):
         valid = tmp_path / "valid.txt"
         save_basis(smallest_eigenpairs(normalized_laplacian(complete_graph(4)), 2), valid)

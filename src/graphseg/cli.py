@@ -15,6 +15,7 @@ import sys
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
+WEIGHT_KINDS = ("gaussian", "local_scaling", "cosine")
 
 
 def _cap_threads():
@@ -61,6 +62,14 @@ def _weight_spec(args):
         raise ValidationError(str(exc)) from exc
 
 
+def _reject_unread(args, names, path):
+    """Flags `names` are not read on the chosen path: giving one on the
+    command line is an error, and a config file's value for it is skipped."""
+    for name in names:
+        if getattr(args, name) is not None and name not in args.configured:
+            raise ValidationError(f"--{name.replace('_', '-')} is not read {path}")
+
+
 def _write_manifest(path, payload):
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -93,18 +102,22 @@ def cmd_eigs(args):
     if args.n_e < 1:
         raise ValidationError("--n-e must be >= 1")
     if args.nystrom:
+        import numpy as np
+
         from graphseg.data import load_features_csv
+        from graphseg.graph import WeightSpec
 
         if args.sample is None:
             raise ValidationError("--nystrom requires --sample")
-        import numpy as np
-
-        from graphseg.graph import WeightSpec
-
+        if args.weight not in ("gaussian", "cosine"):
+            raise ValidationError("--nystrom requires --weight gaussian or --weight cosine")
+        _reject_unread(args, ["tol", "sigma"] if args.weight == "cosine" else ["tol"],
+                       f"with --nystrom --weight {args.weight}")
         features = load_features_csv(_require_file(args.input))
         try:
             # the Nystrom kernel is fully connected: no neighbor count
-            spec = WeightSpec(kind=args.weight, neighbors=1, sigma=args.sigma)
+            spec = WeightSpec(kind=args.weight, neighbors=1,
+                              sigma=1.0 if args.sigma is None else args.sigma)
             basis = nystrom_eigenpairs(
                 features, spec, args.sample, args.n_e, seed=args.seed
             )
@@ -116,6 +129,7 @@ def cmd_eigs(args):
     else:
         from graphseg.graph import load_graph, normalized_laplacian
 
+        _reject_unread(args, ["weight", "sigma", "sample"], "without --nystrom")
         graph = load_graph(_require_file(args.input))
         if args.n_e > graph.n_vertices:
             raise ValidationError("--n-e exceeds the number of vertices")
@@ -124,7 +138,8 @@ def cmd_eigs(args):
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         try:
-            basis = smallest_eigenpairs(lap, args.n_e, tol=args.tol, seed=args.seed)
+            basis = smallest_eigenpairs(lap, args.n_e, seed=args.seed,
+                                        tol=1e-8 if args.tol is None else args.tol)
         except EigensolverError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NONCONVERGENCE
@@ -277,16 +292,11 @@ def cmd_bench(args):
     return 0
 
 
-def _add_kernel_flags(p):
-    p.add_argument("--weight", choices=["gaussian", "local_scaling", "cosine"],
-                   default="local_scaling",
+def _add_weight_flags(p):
+    p.add_argument("--weight", choices=WEIGHT_KINDS, default="local_scaling",
                    help="cosine weights rank neighbors by cosine distance, "
                         "the others by Euclidean distance")
     p.add_argument("--sigma", type=float, default=1.0)
-
-
-def _add_weight_flags(p):
-    _add_kernel_flags(p)
     p.add_argument("--neighbors", type=int, default=10)
     p.add_argument("--m-scale", type=int, default=1)
 
@@ -322,11 +332,15 @@ def build_parser():
     p.add_argument("input", help="graph cache, or features CSV with --nystrom")
     p.add_argument("--out", required=True)
     p.add_argument("--n-e", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float,
+                   help="residual tolerance of the exact solver (default 1e-8)")
     p.add_argument("--nystrom", action="store_true")
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=int, help="Nystrom landmark count")
     p.add_argument("--seed", type=int, default=0)
-    _add_kernel_flags(p)
+    p.add_argument("--weight", choices=WEIGHT_KINDS,
+                   help="Nystrom kernel: gaussian or cosine (required with --nystrom)")
+    p.add_argument("--sigma", type=float,
+                   help="width of the gaussian Nystrom kernel (default 1.0)")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("segment", help="segment from a cached spectral basis")
@@ -357,10 +371,16 @@ def build_parser():
 
 
 def _merge_config_file(parser, argv):
-    """Use a JSON config file as flag defaults; explicit flags override."""
+    """Use a JSON config file as flag defaults; explicit flags override.
+
+    One config may serve every subcommand: the running one takes the keys it
+    defines as flags and skips the keys only other subcommands define. A key
+    that no subcommand defines is an error. Returns the new argv and the
+    flag names taken from the config.
+    """
     ns, _ = parser.parse_known_args(argv)
     if not getattr(ns, "config", None):
-        return argv
+        return argv, set()
     path = ns.config
     if not os.path.isfile(path):
         raise ValidationError(f"config file not found: {path}")
@@ -368,18 +388,26 @@ def _merge_config_file(parser, argv):
         values = json.load(f)
     if not isinstance(values, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
-    extra = []
+    stages = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+    dests = {name: {flag: a.dest for a in p._actions for flag in a.option_strings
+                    if flag.startswith("--") and flag != "--help"}
+             for name, p in stages.items()}
+    extra, taken = [], set()
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
+        if not any(flag in own for own in dests.values()):
+            raise ValidationError(f"{path}: config key {key!r} is no subcommand's flag")
+        if flag not in dests[ns.command]:
+            continue
+        taken.add(dests[ns.command][flag])
         if value is True:
             extra.append(flag)
         elif value is not False and value is not None:
             extra.extend([flag, str(value)])
     # insert defaults right after the subcommand so CLI flags win
-    for i, tok in enumerate(argv):
-        if tok in ("graph", "eigs", "segment", "bench"):
-            return argv[: i + 1] + extra + argv[i + 1 :]
-    return argv + extra
+    i = argv.index(ns.command)
+    return argv[: i + 1] + extra + argv[i + 1 :], taken
 
 
 def main(argv=None):
@@ -387,8 +415,9 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _merge_config_file(parser, argv)
+        argv, configured = _merge_config_file(parser, argv)
         args = parser.parse_args(argv)
+        args.configured = configured
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,12 +27,11 @@ __all__ = [
     "load_graph",
 ]
 
-# The GEMM always runs on blocks of this height: BLAS rounds X[s:s+r] @ X.T
-# differently for other r, and edges and weights must not depend on it.
+# The GEMM always runs on row blocks of this height: BLAS rounds
+# X[s:s+r] @ X[t:u].T differently for other r, and edges and weights must not
+# depend on it. Column groups at least this wide keep the bytes of a block's
+# whole product; narrower ones need not.
 _BLOCK_ROWS = 512
-# Distances are assembled and selected in row chunks of about this many bytes
-# of the block, so the temporaries stay small (about one L2 cache).
-_CHUNK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -138,37 +137,30 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
     return np.exp(-(d_ij**2) / np.sqrt(tau_i * tau_j))
 
 
-def _nearest(keys, k, squared):
-    """The k nearest columns of each row of `keys` and their distances.
+def _nearest(keys, cols, k, squared):
+    """The k nearest of each row's k + 1 smallest keys, and the rows that may tie.
 
-    The distance is sqrt(key) if `squared`, else the key itself. Returns the
-    first k columns of the stable argsort of each distance row (ties broken
-    by lower column index) and the distances there. np.argpartition picks k
-    candidates per row by key, and only their roots are taken; they are
-    sorted by index and then stable-sorted by distance. sqrt is monotone but
-    may map adjacent keys to one root: a key whose root equals that of the
-    k-th smallest key kth is at most kth * (1 + 2 eps), rounding to nearest.
-    A row with more than k keys at or below kth * (1 + 8 eps) (kth itself
-    when not `squared`) may therefore tie at the cut-off, and is re-selected
-    by a full stable argsort.
+    `keys` holds the k + 1 smallest keys of each distance row, in any order,
+    and `cols` their columns. The distance is sqrt(key) if `squared`, else
+    the key itself. Returns the columns of the k smallest keys ordered by
+    (distance, column), which are the first k columns of the stable argsort
+    of the full distance row, the distances there, and a mask of the rows
+    for which that is not certain. sqrt is monotone but may map adjacent
+    keys to one root: a key whose root equals that of the k-th smallest key
+    kth is at most kth * (1 + 2 eps), rounding to nearest. A row whose
+    (k + 1)-th key is at or below the bound kth * (1 + 8 eps) (kth itself
+    when not `squared`), or whose bound is not finite, may therefore tie at
+    the cut-off, and must be re-selected from its full row.
     """
-    part = np.argpartition(keys, k - 1, axis=1)
-    kth = np.take_along_axis(keys, part[:, k - 1 : k], axis=1)
-    cand = part[:, :k]
-    cand.sort(axis=1)
-    root = np.take_along_axis(keys, cand, axis=1)
-    if squared:
-        np.sqrt(root, out=root)
-        kth = kth * (1.0 + 2.0**-49)
-    nbr = np.take_along_axis(cand, np.argsort(root, axis=1, kind="stable"), axis=1)
-    # count the keys above the bound: nothing compares above a NaN bound
-    # (overflowing features), so such a row also takes the full sort
-    tied = np.flatnonzero(np.count_nonzero(keys > kth, axis=1) < keys.shape[1] - k)
-    if tied.size:
-        full = np.sqrt(keys[tied]) if squared else keys[tied]
-        nbr[tied] = np.argsort(full, axis=1, kind="stable")[:, :k]
-    dist = np.take_along_axis(keys, nbr, axis=1)
-    return nbr, np.sqrt(dist) if squared else dist
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)[:, :k]
+    bound = keys[:, k - 1] * (1.0 + 2.0**-49) if squared else keys[:, k - 1]
+    tied = ~(keys[:, k] > bound)  # nothing compares above a NaN or inf bound
+    dist = np.sqrt(keys[:, :k]) if squared else keys[:, :k]
+    order = np.lexsort((cols, dist), axis=1)
+    return (np.take_along_axis(cols, order, axis=1),
+            np.take_along_axis(dist, order, axis=1), tied)
 
 
 def unit_rows(features):
@@ -186,11 +178,33 @@ def knn_graph(features, spec):
     Vertices i and j are connected iff i is among the N nearest neighbors
     of j or vice versa. Self-edges are excluded; distance ties are broken
     by lower vertex index, exactly as a stable argsort of each distance
-    row would break them. Each row selects k = max(N, M) candidates for
-    local scaling and k = N otherwise by partial selection on squared
-    distances; rows that may tie at the k-th distance fall back to the full
-    stable sort. Edge weights follow `spec`. Cosine weights rank neighbors
-    by cosine distance, the others by Euclidean distance.
+    row would break them. Each row selects k = max(N, M) neighbors for
+    local scaling and k = N otherwise. Edge weights follow `spec`. Cosine
+    weights rank neighbors by cosine distance, the others by Euclidean
+    distance.
+
+    The rows are cut into blocks of 512, and the columns into groups: the
+    same blocks, with a short last block joined to the one before it. Each
+    pair of a row block s and a column group t >= s is multiplied once. Its
+    tile of keys (squared distances, or cosine distances) feeds the rows of
+    s directly and, through the transpose, the rows of t's first block.
+    Each row keeps a running set of its k + 1 smallest keys; a tile entry
+    joins it only when it is below the row's (k + 1)-th key, since an entry
+    equal to that key cannot change the kept keys. Every row is first
+    seeded from the tile of its own block and group, so that the bound is
+    tight before the other tiles arrive. The rows then finish as `_nearest`
+    says, and a row that may tie at the k-th distance is re-selected by a
+    stable sort of its full row, recomputed from the tiles of its block.
+
+    The tiles keep the bytes of the product of each whole 512-row block with
+    all of the features, which BLAS rounds as one (measured with OpenBLAS;
+    the reference tests guard it on each build):
+    - a column group rounds as the same columns of the whole product. A
+      narrow tile, such as the columns of a short last block alone, does not;
+    - a mirrored tile rounds as the receiving block's own product when that
+      block is 512 rows high. It does not when the receiving block is the
+      short last block, so that block takes no mirrored tiles and multiplies
+      its own rows with every column group.
     """
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 2:
@@ -210,49 +224,121 @@ def knn_graph(features, spec):
 
     n_nbr = spec.neighbors
     m = spec.m_scale
-    src_list, dst_list, dist_list = [], [], []
-    tau = np.empty(n) if spec.kind == "local_scaling" else None
-    k = max(n_nbr, m) if tau is not None else n_nbr
-
+    k = max(n_nbr, m) if spec.kind == "local_scaling" else n_nbr
     squared = sq_norms is not None
-    g = np.empty((min(_BLOCK_ROWS, n), n))  # one GEMM block, reused
-    chunk = max(1, _CHUNK_BYTES // (8 * n))
-    tmp = np.empty((min(chunk, n), n)) if squared else None
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        # multiply a copy of the rows: for n <= _BLOCK_ROWS a view would be the
-        # whole matrix, and numpy rounds A @ A.T on its symmetric path
-        np.matmul(features[start:stop].copy(), features.T, out=g[: stop - start])
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            block = np.arange(lo, hi)
-            keys = g[lo - start : hi - start]
-            if squared:  # d^2 = (|x_i|^2 + |x_j|^2) - 2 g, rounded in that order
-                keys *= 2.0
-                np.add(sq_norms[lo:hi, None], sq_norms, out=tmp[: hi - lo])
-                np.subtract(tmp[: hi - lo], keys, out=keys)
-                np.maximum(keys, 0.0, out=keys)
-            else:
-                np.subtract(1.0, keys, out=keys)
-            keys[np.arange(hi - lo), block] = np.inf  # exclude self
-            nbr, dist = _nearest(keys, k, squared)
-            src_list.append(np.repeat(block, n_nbr))
-            dst_list.append(nbr[:, :n_nbr].ravel())
-            dist_list.append(dist[:, :n_nbr].ravel())
-            if tau is not None:
-                dm = dist[:, m - 1]
-                if np.any(dm == 0):
-                    bad = block[np.flatnonzero(dm == 0)[0]]
-                    raise ValueError(
-                        f"vertex {bad}: zero local scale (duplicate point at the "
-                        f"M={m} neighbor)"
-                    )
-                tau[block] = dm**2
+    b = _BLOCK_ROWS
+    blocks = [(s, min(s + b, n)) for s in range(0, n, b)]
+    starts = list(range(0, max(n - b, 0) + 1, b))
+    groups = list(zip(starts, starts[1:] + [n]))
+    gemm = np.empty(min(b, n) * min(2 * b, n))  # one tile, reused
+    norms = np.empty(gemm.size) if squared else None
 
-    src = np.concatenate(src_list)
-    dst = np.concatenate(dst_list)
-    d = np.concatenate(dist_list)
+    def tile(rows, r0, c0, c1):
+        """Keys of `rows`, a copy of features[r0:r0 + len(rows)], against
+        columns c0:c1; squared distances are not yet clamped at 0."""
+        shape = (rows.shape[0], c1 - c0)
+        g = gemm[: shape[0] * shape[1]].reshape(shape)
+        np.matmul(rows, features[c0:c1].T, out=g)
+        if squared:  # d^2 = (|x_i|^2 + |x_j|^2) - 2 g, rounded in that order
+            g *= 2.0
+            s = norms[: g.size].reshape(shape)
+            s[...] = sq_norms[r0 : r0 + shape[0], None]
+            s += sq_norms[c0:c1]
+            np.subtract(s, g, out=g)
+        else:
+            np.subtract(1.0, g, out=g)
+        return g
 
+    best_keys = np.full((n, k + 1), np.inf)  # each row's k + 1 smallest keys
+    best_cols = np.zeros((n, k + 1), dtype=np.intp)
+
+    def retain(rows, cand_keys, cand_cols):
+        part = np.argpartition(cand_keys, k, axis=1)[:, : k + 1]
+        best_keys[rows] = np.take_along_axis(cand_keys, part, axis=1)
+        best_cols[rows] = np.take_along_axis(cand_cols, part, axis=1)
+
+    def offer(g, r0, c0, mirror):
+        """Merge the entries of tile g (rows r0.., columns c0..) that are below
+        their row's (k + 1)-th key; with `mirror`, into the rows of c0.. ."""
+        if mirror:
+            hit = g < best_keys[c0 : c0 + g.shape[1], k]
+        else:
+            hit = g < best_keys[r0 : r0 + g.shape[0], k, None]
+        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])  # 2-D nonzero is slower
+        if not i.size:
+            return
+        val = g[i, j]
+        if squared:
+            np.maximum(val, 0.0, out=val)
+        if mirror:
+            order = np.argsort(j, kind="stable")
+            row, col, val = c0 + j[order], r0 + i[order], val[order]
+        else:
+            row, col = r0 + i, c0 + j
+        rows, first, count = np.unique(row, return_index=True, return_counts=True)
+        slot = np.repeat(np.arange(rows.size), count)
+        at = k + 1 + np.arange(row.size) - first[slot]
+        cand_keys = np.full((rows.size, k + 1 + count.max()), np.inf)
+        cand_cols = np.zeros(cand_keys.shape, dtype=np.intp)
+        cand_keys[:, : k + 1] = best_keys[rows]
+        cand_cols[:, : k + 1] = best_cols[rows]
+        cand_keys[slot, at] = val
+        cand_cols[slot, at] = col
+        retain(rows, cand_keys, cand_cols)
+
+    # multiply a copy of the rows: for n <= 512 a view would be the whole
+    # matrix, and numpy rounds A @ A.T on its symmetric path
+    for si, (r0, r1) in enumerate(blocks):  # seed from the block's own group
+        c0, c1 = groups[min(si, len(groups) - 1)]
+        g = tile(features[r0:r1].copy(), r0, c0, c1)
+        g[np.arange(r1 - r0), np.arange(r0 - c0, r1 - c0)] = np.inf  # exclude self
+        if g.shape[1] < k + 2:  # fewer columns than kept keys: pad with inf
+            g = np.pad(g, ((0, 0), (0, k + 2 - g.shape[1])), constant_values=np.inf)
+        # a padding column is kept only where inf is, which ties the row
+        retain(slice(r0, r1), g, np.broadcast_to(c0 + np.arange(g.shape[1]), g.shape))
+        if squared:  # clamp at 0 after selecting: it keeps the order
+            np.maximum(best_keys[r0:r1], 0.0, out=best_keys[r0:r1])
+    for si, (r0, r1) in enumerate(blocks):
+        rows = features[r0:r1].copy()
+        if r1 - r0 == b:  # the later groups, whose first blocks take the mirror
+            for c0, c1 in groups[si + 1 :]:
+                g = tile(rows, r0, c0, c1)
+                offer(g, r0, c0, False)
+                offer(g[:, :b], r0, c0, True)
+        else:  # the short last block: every group but its own
+            for c0, c1 in groups[:-1]:
+                offer(tile(rows, r0, c0, c1), r0, c0, False)
+
+    nbr, dist, tied = _nearest(best_keys, best_cols, k, squared)
+    for r0, r1 in blocks:  # rows that may tie take a stable sort of the full row
+        redo = np.flatnonzero(tied[r0:r1])
+        if not redo.size:
+            continue
+        rows = features[r0:r1].copy()
+        full = np.empty((redo.size, n))
+        for c0, c1 in groups:
+            full[:, c0:c1] = tile(rows, r0, c0, c1)[redo]
+        full[np.arange(redo.size), r0 + redo] = np.inf  # exclude self
+        if squared:
+            np.maximum(full, 0.0, out=full)
+            np.sqrt(full, out=full)
+        order = np.argsort(full, axis=1, kind="stable")[:, :k]
+        nbr[r0 + redo] = order
+        dist[r0 + redo] = np.take_along_axis(full, order, axis=1)
+
+    tau = None
+    if spec.kind == "local_scaling":
+        dm = dist[:, m - 1]
+        bad = np.flatnonzero(dm == 0)
+        if bad.size:
+            raise ValueError(
+                f"vertex {bad[0]}: zero local scale (duplicate point at the "
+                f"M={m} neighbor)"
+            )
+        tau = dm**2
+    src = np.repeat(np.arange(n), n_nbr)
+    dst = nbr[:, :n_nbr].ravel()
+    d = dist[:, :n_nbr].ravel()
     # union symmetrization: keep each undirected pair once with i < j
     i = np.minimum(src, dst)
     j = np.maximum(src, dst)

@@ -184,6 +184,47 @@ class TestValidation:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        pytest.param(["--nystrom", "--sample", "40"], "--weight gaussian", id="nystrom-default-weight"),
+        pytest.param(["--nystrom", "--sample", "40", "--weight", "local_scaling"],
+                     "--weight gaussian", id="nystrom-local-scaling"),
+        pytest.param(["--nystrom", "--sample", "40", "--weight", "gaussian", "--sigma", "3",
+                      "--tol", "1e-8"], "--tol", id="nystrom-tol"),
+        pytest.param(["--nystrom", "--sample", "40", "--weight", "cosine", "--sigma", "3"],
+                     "--sigma", id="nystrom-cosine-sigma"),
+        pytest.param(["--weight", "gaussian"], "--weight", id="exact-weight"),
+        pytest.param(["--sigma", "2"], "--sigma", id="exact-sigma"),
+        pytest.param(["--sample", "40"], "--sample", id="exact-sample"),
+    ])
+    def test_eigs_flags_the_path_does_not_read(self, tmp_path, blob_files, flags, named,
+                                               capsys):
+        features, _ = blob_files
+        source = features
+        if "--nystrom" not in flags:
+            source = tmp_path / "graph.txt"
+            main(["graph", str(features), "--out", str(source), "--weight", "gaussian"])
+        out = tmp_path / "e.txt"
+        code = main(["eigs", str(source), "--out", str(out), "--n-e", "5", *flags])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nystrom_reads_its_flags(self, tmp_path, blob_files):
+        # the default --sigma is 1.0; a shared config's --tol, which the
+        # Nystrom path does not read, is skipped instead of rejected
+        features, _ = blob_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"tol": 1e-6}))
+        common = ["eigs", str(features), "--nystrom", "--sample", "40", "--n-e", "5",
+                  "--weight", "gaussian"]
+        outs = [tmp_path / f"e{i}.txt" for i in range(4)]
+        assert main([*common, "--out", str(outs[0])]) == 0
+        assert main([*common, "--out", str(outs[1]), "--sigma", "1"]) == 0
+        assert main(["--config", str(config), *common, "--out", str(outs[2])]) == 0
+        assert main([*common, "--out", str(outs[3]), "--sigma", "0.5"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_bytes() != outs[3].read_bytes()
+
     def test_non_finite_eigencache(self, tmp_path, blobs, blob_files, capsys):
         _, labels = blob_files
         eigs = tmp_path / "eigs.txt"
@@ -216,6 +257,34 @@ class TestConfigFile:
         assert manifest["solver"] == "gl"   # from the config file
         assert manifest["config"]["dt"] == 0.1  # CLI flag wins
         assert manifest["config"]["seed"] == 9
+
+    def test_config_shared_by_the_stages(self, tmp_path, blob_files, blobs):
+        # each stage takes the keys it has a flag for and skips the others
+        features, labels = blob_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"neighbors": 8, "weight": "gaussian", "solver": "gl"}))
+        graph, flagged = tmp_path / "graph.txt", tmp_path / "flagged.txt"
+        assert main(["--config", str(config), "graph", str(features), "--out", str(graph)]) == 0
+        assert main(["graph", str(features), "--out", str(flagged),
+                     "--neighbors", "8", "--weight", "gaussian"]) == 0
+        assert graph.read_bytes() == flagged.read_bytes()
+        eigs = tmp_path / "eigs.txt"
+        assert main(["--config", str(config), "eigs", str(graph), "--out", str(eigs),
+                     "--n-e", "10"]) == 0
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(config), "segment", str(eigs), str(labels),
+                     "--out", str(out), "--fidelity-per-class", "4"]) == 0
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert manifest["solver"] == "gl"
+
+    def test_config_key_of_no_subcommand_rejected(self, tmp_path, blob_files, capsys):
+        features, _ = blob_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"neighbors": 8, "neighbours": 9}))
+        code = main(["--config", str(config), "graph", str(features),
+                     "--out", str(tmp_path / "g.txt")])
+        assert code == 2
+        assert "'neighbours'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main([

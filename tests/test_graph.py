@@ -215,18 +215,52 @@ class TestMatchesFullSortReference:
             )
 
     # normal features give distances that integer features cannot: n = 300
-    # is one block holding the whole matrix, n = 1100 has a partial last
-    # block and a partial last chunk
-    @pytest.mark.parametrize("n", [300, 1100])
+    # is one block holding the whole matrix, n = 1024 is two whole blocks,
+    # n = 1100 has a short last block of 76 rows, whose narrow column tiles
+    # BLAS rounds differently, and n = 1500 at D = 100 a short last block of
+    # 476 rows, which a mirrored tile does not round as its own product
+    @pytest.mark.parametrize("n, dim", [
+        pytest.param(300, 5, id="300"),
+        pytest.param(1100, 5, id="1100"),
+        pytest.param(1024, 5, id="1024"),
+        pytest.param(1500, 100, id="1500-D100"),
+    ])
     @pytest.mark.parametrize("kind", ["local_scaling", "cosine"])
-    def test_normal_features(self, n, kind):
-        feats = np.random.default_rng(n).normal(size=(n, 5))
+    def test_normal_features(self, n, dim, kind):
+        feats = np.random.default_rng(n).normal(size=(n, dim))
         if kind == "cosine":
             assert_matches_reference(feats, WeightSpec(kind="cosine", neighbors=7))
         else:
             assert_matches_reference(
                 feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WeightSpec(kind="gaussian", neighbors=3, sigma=1.0),
+            WeightSpec(kind="local_scaling", neighbors=3, m_scale=6),
+            WeightSpec(kind="cosine", neighbors=3),
+        ],
+    )
+    def test_ties_across_blocks(self, spec):
+        # a shuffled 40 x 40 lattice: most rows tie at the cut-off, and the
+        # tied neighbours of a row lie in other 512-row blocks, so the rows
+        # fall back to their full rows in every block
+        grid = np.array([(x, y) for x in range(1, 41) for y in range(1, 41)], dtype=float)
+        feats = grid[np.random.default_rng(9).permutation(len(grid))]
+        assert_matches_reference(feats, spec)
+
+    def test_duplicate_rows_across_blocks(self):
+        # duplicates at distance 0 in blocks 0 and 2 tie the rows at k = 1
+        feats = np.random.default_rng(4).normal(size=(1536, 3))
+        feats[1300] = feats[200]
+        feats[1100] = feats[700]
+        feats[1535] = feats[1100]
+        assert_matches_reference(feats, WeightSpec(kind="gaussian", neighbors=1, sigma=1.0))
+        # and give a zero local scale, which must name the lowest such vertex
+        assert_matches_reference(
+            feats, WeightSpec(kind="local_scaling", neighbors=5, m_scale=1))
 
 
 def _nearby(x, steps):
@@ -260,9 +294,10 @@ def near_keys(draw, squared):
 
 
 class TestNearestSelector:
-    """_nearest selects on the keys (squared distances or cosine distances)
-    and must give the first k columns of the stable argsort of the
-    distances, and the distances there, byte for byte."""
+    """_nearest finishes each row from its k + 1 smallest keys (squared
+    distances or cosine distances). On every row it does not flag as tied,
+    it must give the first k columns of the stable argsort of the full
+    distance row, and the distances there, byte for byte."""
 
     @staticmethod
     def check(keys, k, squared):
@@ -270,9 +305,17 @@ class TestNearestSelector:
         with np.errstate(invalid="ignore"):
             dist = np.sqrt(keys) if squared else keys.copy()
         order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        nbr, got = _nearest(keys.copy(), k, squared)
-        assert nbr.tobytes() == order.tobytes()
-        assert got.tobytes() == np.take_along_axis(dist, order, axis=1).tobytes()
+        expected = np.take_along_axis(dist, order, axis=1)
+        # keep the k + 1 smallest keys as knn_graph does: a NaN never joins,
+        # and inf fills the places no key takes
+        kept = np.where(np.isnan(keys), np.inf, keys)
+        kept = np.hstack([kept, np.full((len(kept), 1), np.inf)])
+        cols = np.argpartition(kept, k, axis=1)[:, : k + 1]
+        nbr, got, tied = _nearest(np.take_along_axis(kept, cols, axis=1), cols, k, squared)
+        for row in np.flatnonzero(~tied):
+            assert nbr[row].tobytes() == order[row].tobytes()
+            assert got[row].tobytes() == expected[row].tobytes()
+        return tied
 
     @pytest.mark.parametrize("squared", [True, False])
     @settings(max_examples=300, deadline=None)
@@ -285,19 +328,24 @@ class TestNearestSelector:
     @pytest.mark.parametrize("k", [1, 2])
     def test_roots_tie_where_keys_differ(self, k):
         # both keys have the root 1.0: the stable sort takes index 0 first,
-        # while ordering by the key alone would take index 1 first
+        # while ordering by the key alone would take index 1 first. At k = 1
+        # the row ties at the cut-off and must be flagged; at k = 2 the kept
+        # keys alone give the order
         above = np.nextafter(1.0, 2.0)
         assert np.sqrt(above) == np.sqrt(1.0)
-        keys = [[above, 1.0, 4.0]]
-        nbr, _ = _nearest(np.array(keys), k, True)
-        assert nbr[0, 0] == 0
-        self.check(keys, k, True)
+        tied = self.check([[above, 1.0, 4.0]], k, True)
+        assert tied[0] == (k == 1)
+
+    def test_separated_rows_not_tied(self):
+        keys = [[4.0, 1.0, 9.0, 2.0], [0.0, 5.0, 7.0, 1.0]]
+        assert not self.check(keys, 2, True).any()
+        assert not self.check(keys, 2, False).any()
 
 
 @pytest.mark.parametrize("per_class, limit_mib", [(1000, 24), (2000, 40)])
 def test_knn_graph_transient_memory(per_class, limit_mib):
-    # the distance block is built in one reused buffer, not in fresh
-    # temporaries per block; tracemalloc sees numpy's buffers
+    # the distance tiles are built in reused buffers, and only k + 1 keys per
+    # row are kept; tracemalloc sees numpy's buffers
     feats = generate_three_moons(MoonsSpec(points_per_class=per_class, seed=0)).features
     spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
     tracemalloc.start()

@@ -252,7 +252,9 @@ class TestMatchesFullSortReference:
         assert_matches_reference(feats, spec)
 
     def test_duplicate_rows_across_blocks(self):
-        # duplicates at distance 0 in blocks 0 and 2 tie the rows at k = 1
+        # a duplicate pair across blocks 0 and 2, and a triple across blocks
+        # 1 and 2 whose rows each have two neighbours at distance 0, so they
+        # tie at k = 1
         feats = np.random.default_rng(4).normal(size=(1536, 3))
         feats[1300] = feats[200]
         feats[1100] = feats[700]

@@ -26,17 +26,17 @@ def run_once(command, workload, seed, seconds, trace):
     setup failed and no record was written."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
+    path = os.path.join(ROOT, ".bench_out", f"{workload}-seed{seed}-trace{trace}.json")
+    if os.path.exists(path):  # a record left by an earlier run
+        os.remove(path)
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(argv)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    path = os.path.join(ROOT, ".bench_out", f"{workload}-seed{seed}-trace{trace}.json")
-    record = None
-    if result["correct"] or result["failed"] < result["attempted"]:
-        with open(path) as f:
-            record = json.load(f)
-    return result, record
+    if not os.path.exists(path):
+        return json.loads(lines[-1]), None
+    with open(path) as f:
+        return json.loads(lines[-1]), json.load(f)
 
 
 def main(argv=None):

@@ -1,10 +1,12 @@
 """Command-line front end: graph construction, eigendecomposition,
 segmentation, and multi-seed benchmarks with cached intermediates.
 
-Exit codes: 0 success, 2 validation error, 3 numerical non-convergence
-(partial results are still written). GRAPHSEG_THREADS caps the BLAS/OpenMP
-thread pools; a JSON config file may replace flags, with explicit flags
-taking precedence.
+Exit codes: 0 success, 2 invalid input (a ValueError), 3 numerical failure
+or non-convergence (a FloatingPointError, or a solver stop at --max-iters;
+partial results are still written). A flag that is not given takes the
+library's default, and a flag the chosen path does not read is an error.
+GRAPHSEG_THREADS caps the BLAS/OpenMP thread pools; a JSON config file may
+replace flags, with explicit flags taking precedence.
 """
 
 import argparse
@@ -30,10 +32,6 @@ def _cap_threads():
             os.environ.setdefault(var, cap)
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -44,30 +42,28 @@ def _sha256(path):
 
 def _require_file(path):
     if not os.path.isfile(path):
-        raise ValidationError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     return path
+
+
+def _read_flags(args, read, unread=(), path=None):
+    """Keyword arguments of the flags `read` that were given, so that the
+    library's defaults stand for the others. The flags `unread` are not read
+    on the chosen `path`: giving one on the command line is an error, and a
+    config file's value for it is skipped."""
+    for name in unread:
+        if getattr(args, name) is not None and name not in args.configured:
+            raise ValueError(f"--{name.replace('_', '-')} is not read {path}")
+    return {name: getattr(args, name) for name in read if getattr(args, name) is not None}
 
 
 def _weight_spec(args):
     from graphseg.graph import WeightSpec
 
-    try:
-        return WeightSpec(
-            kind=args.weight,
-            neighbors=args.neighbors,
-            sigma=args.sigma,
-            m_scale=args.m_scale,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _reject_unread(args, names, path):
-    """Flags `names` are not read on the chosen path: giving one on the
-    command line is an error, and a config file's value for it is skipped."""
-    for name in names:
-        if getattr(args, name) is not None and name not in args.configured:
-            raise ValidationError(f"--{name.replace('_', '-')} is not read {path}")
+    read = {"gaussian": ["sigma"], "local_scaling": ["m_scale"]}.get(args.weight, [])
+    kwargs = _read_flags(args, read, [n for n in ("sigma", "m_scale") if n not in read],
+                         f"with --weight {args.weight}")
+    return WeightSpec(kind=args.weight, neighbors=args.neighbors, **kwargs)
 
 
 def _write_manifest(path, payload):
@@ -82,67 +78,43 @@ def cmd_graph(args):
 
     spec = _weight_spec(args)
     features = load_features_csv(_require_file(args.features))
-    try:
-        graph = knn_graph(features, spec)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    graph = knn_graph(features, spec)
     save_graph(graph, args.out)
     print(f"wrote {args.out}: {graph.n_vertices} vertices, {graph.n_edges} edges")
     return 0
 
 
 def cmd_eigs(args):
-    from graphseg.spectral import (
-        EigensolverError,
-        nystrom_eigenpairs,
-        save_basis,
-        smallest_eigenpairs,
-    )
+    from graphseg.spectral import nystrom_eigenpairs, save_basis, smallest_eigenpairs
 
     if args.n_e < 1:
-        raise ValidationError("--n-e must be >= 1")
+        raise ValueError("--n-e must be >= 1")
     if args.nystrom:
-        import numpy as np
-
         from graphseg.data import load_features_csv
         from graphseg.graph import WeightSpec
 
         if args.sample is None:
-            raise ValidationError("--nystrom requires --sample")
+            raise ValueError("--nystrom requires --sample")
         if args.weight not in ("gaussian", "cosine"):
-            raise ValidationError("--nystrom requires --weight gaussian or --weight cosine")
-        _reject_unread(args, ["tol", "sigma"] if args.weight == "cosine" else ["tol"],
-                       f"with --nystrom --weight {args.weight}")
+            raise ValueError("--nystrom requires --weight gaussian or --weight cosine")
+        gaussian = args.weight == "gaussian"
+        kwargs = _read_flags(args, ["sigma"] if gaussian else [],
+                             ["tol"] if gaussian else ["tol", "sigma"],
+                             f"with --nystrom --weight {args.weight}")
         features = load_features_csv(_require_file(args.input))
-        try:
-            # the Nystrom kernel is fully connected: no neighbor count
-            spec = WeightSpec(kind=args.weight, neighbors=1,
-                              sigma=1.0 if args.sigma is None else args.sigma)
-            basis = nystrom_eigenpairs(
-                features, spec, args.sample, args.n_e, seed=args.seed
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        except np.linalg.LinAlgError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
+        # the Nystrom kernel is fully connected: no neighbor count
+        spec = WeightSpec(kind=args.weight, neighbors=1, **kwargs)
+        basis = nystrom_eigenpairs(features, spec, args.sample, args.n_e,
+                                   **_read_flags(args, ["seed"]))
     else:
         from graphseg.graph import load_graph, normalized_laplacian
 
-        _reject_unread(args, ["weight", "sigma", "sample"], "without --nystrom")
+        kwargs = _read_flags(args, ["tol", "seed"], ["weight", "sigma", "sample"],
+                             "without --nystrom")
         graph = load_graph(_require_file(args.input))
         if args.n_e > graph.n_vertices:
-            raise ValidationError("--n-e exceeds the number of vertices")
-        try:
-            lap = normalized_laplacian(graph)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        try:
-            basis = smallest_eigenpairs(lap, args.n_e, seed=args.seed,
-                                        tol=1e-8 if args.tol is None else args.tol)
-        except EigensolverError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NONCONVERGENCE
+            raise ValueError("--n-e exceeds the number of vertices")
+        basis = smallest_eigenpairs(normalized_laplacian(graph), args.n_e, **kwargs)
     save_basis(basis, args.out)
     print(f"wrote {args.out}: {basis.n_e} eigenpairs ({basis.method})")
     return 0
@@ -152,29 +124,15 @@ def _solver_config(args, n_e):
     from graphseg.gl import GLConfig
     from graphseg.mbo import MBOConfig
 
-    try:
-        if args.solver == "gl":
-            return GLConfig(
-                n_e=n_e,
-                epsilon=args.epsilon,
-                dt=args.dt,
-                mu=args.mu,
-                eta=args.eta,
-                c=args.convexity,
-                max_iters=args.max_iters,
-                seed=args.seed,
-            )
-        return MBOConfig(
-            n_e=n_e,
-            dt=args.dt,
-            mu=args.mu,
-            n_s=args.n_s,
-            eta=args.eta,
-            max_iters=args.max_iters,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    shared = ["dt", "mu", "eta", "max_iters", "seed"]
+    path = f"with --solver {args.solver}"
+    if args.solver == "mbo":
+        return MBOConfig(n_e=n_e, **_read_flags(args, shared + ["n_s"],
+                                                ["epsilon", "convexity"], path))
+    kwargs = _read_flags(args, shared + ["epsilon", "convexity"], ["n_s"], path)
+    if "convexity" in kwargs:
+        kwargs["c"] = kwargs.pop("convexity")
+    return GLConfig(n_e=n_e, **kwargs)
 
 
 def cmd_segment(args):
@@ -188,7 +146,7 @@ def cmd_segment(args):
     basis = load_basis(_require_file(args.eigs))
     labels = load_labels_csv(_require_file(args.labels))
     if labels.size != basis.n_vertices:
-        raise ValidationError(
+        raise ValueError(
             f"label count {labels.size} does not match basis size {basis.n_vertices}"
         )
     n_classes = int(labels.max()) + 1
@@ -198,17 +156,9 @@ def cmd_segment(args):
         n_classes=n_classes,
     )
     cfg = _solver_config(args, basis.n_e)
-    try:
-        fidelity = sample_fidelity(
-            dataset, args.fidelity_per_class, args.seed, args.mu
-        )
-        result = (
-            gl_segment(basis, fidelity, cfg)
-            if args.solver == "gl"
-            else mbo_segment(basis, fidelity, cfg)
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    fidelity = sample_fidelity(dataset, args.fidelity_per_class, cfg.seed, cfg.mu)
+    segment = gl_segment if args.solver == "gl" else mbo_segment
+    result = segment(basis, fidelity, cfg)
 
     save_labels_csv(result.labels, args.out)
     manifest = {
@@ -216,7 +166,7 @@ def cmd_segment(args):
         "solver": args.solver,
         "config": {k: v for k, v in vars(cfg).items()},
         "fidelity_per_class": args.fidelity_per_class,
-        "seed": args.seed,
+        "seed": cfg.seed,
         "inputs": {
             "eigs": {"path": args.eigs, "sha256": _sha256(args.eigs)},
             "labels": {"path": args.labels, "sha256": _sha256(args.labels)},
@@ -244,44 +194,35 @@ def _load_dataset(args):
         )
     if args.dataset == "csv":
         if not (args.features and args.labels):
-            raise ValidationError("--dataset csv requires --features and --labels")
+            raise ValueError("--dataset csv requires --features and --labels")
         feats = data.load_features_csv(_require_file(args.features))
         labels = data.load_labels_csv(_require_file(args.labels))
-        if feats.shape[0] != labels.size:
-            raise ValidationError("feature rows and label count differ")
         return data.LabeledDataset(feats, labels, int(labels.max()) + 1)
-    if args.dataset == "mnist":
-        if not (args.mnist_images and args.mnist_labels):
-            raise ValidationError(
-                "--dataset mnist requires --mnist-images and --mnist-labels"
-            )
-        ds = data.load_mnist_idx(
-            _require_file(args.mnist_images), _require_file(args.mnist_labels)
-        )
-        if args.subset:
-            ds = data.stratified_subset(ds, args.subset, args.data_seed)
-        return ds
-    raise ValidationError(f"unknown dataset {args.dataset!r}")
+    # argparse's choices leave "mnist"
+    if not (args.mnist_images and args.mnist_labels):
+        raise ValueError("--dataset mnist requires --mnist-images and --mnist-labels")
+    ds = data.load_mnist_idx(
+        _require_file(args.mnist_images), _require_file(args.mnist_labels)
+    )
+    if args.subset:
+        ds = data.stratified_subset(ds, args.subset, args.data_seed)
+    return ds
 
 
 def cmd_bench(args):
     from graphseg.evaluate import run_benchmark, write_report
 
-    dataset = _load_dataset(args)
     spec = _weight_spec(args)
     cfg = _solver_config(args, args.n_e)
-    try:
-        report = run_benchmark(
-            dataset,
-            spec,
-            args.solver,
-            cfg,
-            per_class=args.fidelity_per_class,
-            n_seeds=args.seeds,
-            base_seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    report = run_benchmark(
+        _load_dataset(args),
+        spec,
+        args.solver,
+        cfg,
+        per_class=args.fidelity_per_class,
+        n_seeds=args.seeds,
+        base_seed=cfg.seed,
+    )
     out = args.out
     write_report(report, out + ".json", out + ".timings.json", out + ".txt")
     print(
@@ -296,22 +237,23 @@ def _add_weight_flags(p):
     p.add_argument("--weight", choices=WEIGHT_KINDS, default="local_scaling",
                    help="cosine weights rank neighbors by cosine distance, "
                         "the others by Euclidean distance")
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--sigma", type=float, help="gaussian weights only")
     p.add_argument("--neighbors", type=int, default=10)
-    p.add_argument("--m-scale", type=int, default=1)
+    p.add_argument("--m-scale", type=int, help="local scaling weights only")
 
 
 def _add_solver_flags(p):
     p.add_argument("--solver", choices=["gl", "mbo"], default="mbo")
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--mu", type=float, default=30.0)
-    p.add_argument("--eta", type=float, default=1e-7)
-    p.add_argument("--convexity", type=float, default=None,
-                   help="convexity constant C (default mu + 1/epsilon)")
-    p.add_argument("--n-s", type=int, default=3)
+    p.add_argument("--epsilon", type=float, help="GL only")
+    p.add_argument("--dt", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--convexity", type=float,
+                   help="GL only: convexity constant C (default mu + 1/epsilon)")
+    p.add_argument("--n-s", type=int, help="MBO only")
+    # MBOConfig's own max_iters is 100; both solvers run to 500 here
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -333,14 +275,14 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--n-e", type=int, required=True)
     p.add_argument("--tol", type=float,
-                   help="residual tolerance of the exact solver (default 1e-8)")
+                   help="residual tolerance of the exact solver")
     p.add_argument("--nystrom", action="store_true")
     p.add_argument("--sample", type=int, help="Nystrom landmark count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--weight", choices=WEIGHT_KINDS,
                    help="Nystrom kernel: gaussian or cosine (required with --nystrom)")
     p.add_argument("--sigma", type=float,
-                   help="width of the gaussian Nystrom kernel (default 1.0)")
+                   help="width of the gaussian Nystrom kernel")
     p.set_defaults(func=cmd_eigs)
 
     p = sub.add_parser("segment", help="segment from a cached spectral basis")
@@ -383,11 +325,11 @@ def _merge_config_file(parser, argv):
         return argv, set()
     path = ns.config
     if not os.path.isfile(path):
-        raise ValidationError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     with open(path) as f:
         values = json.load(f)
     if not isinstance(values, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     stages = next(a for a in parser._actions
                   if isinstance(a, argparse._SubParsersAction)).choices
     dests = {name: {flag: a.dest for a in p._actions for flag in a.option_strings
@@ -397,7 +339,7 @@ def _merge_config_file(parser, argv):
     for key, value in values.items():
         flag = "--" + key.replace("_", "-")
         if not any(flag in own for own in dests.values()):
-            raise ValidationError(f"{path}: config key {key!r} is no subcommand's flag")
+            raise ValueError(f"{path}: config key {key!r} is no subcommand's flag")
         if flag not in dests[ns.command]:
             continue
         taken.add(dests[ns.command][flag])
@@ -419,7 +361,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         args.configured = configured
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:

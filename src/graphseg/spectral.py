@@ -28,8 +28,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class EigensolverError(RuntimeError):
-    """Eigensolver failed to converge; carries the best residuals seen."""
+class EigensolverError(FloatingPointError):
+    """Eigensolver failed to converge; carries the best residuals seen.
+    A numerical failure, so the CLI exits 3 on it as on a solver blow-up."""
 
     def __init__(self, message, residuals=None):
         super().__init__(message)

@@ -36,6 +36,24 @@ def run_pipeline(tmp_path, blob_files, segment_args=()):
     return code, out
 
 
+def stage_argv(stage, tmp_path, blob_files):
+    """Arguments that run `stage` on the blobs, and a file the run writes."""
+    features, labels = blob_files
+    out = tmp_path / "out"
+    if stage == "graph":
+        return ["graph", str(features), "--out", str(out)], out
+    if stage == "bench":
+        return ["bench", "--dataset", "csv", "--features", str(features),
+                "--labels", str(labels), "--out", str(out), "--seeds", "1", "--n-e", "10",
+                "--fidelity-per-class", "4", "--weight", "gaussian", "--neighbors", "8"
+                ], tmp_path / "out.json"
+    graph, eigs = tmp_path / "graph.txt", tmp_path / "eigs.txt"
+    main(["graph", str(features), "--out", str(graph), "--weight", "gaussian", "--neighbors", "8"])
+    main(["eigs", str(graph), "--out", str(eigs), "--n-e", "10"])
+    return ["segment", str(eigs), str(labels), "--out", str(out),
+            "--fidelity-per-class", "4"], out
+
+
 class TestPipeline:
     def test_end_to_end_mbo(self, tmp_path, blob_files, blobs, capsys):
         code, out = run_pipeline(tmp_path, blob_files)
@@ -105,15 +123,30 @@ class TestValidation:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_bad_n_e(self, tmp_path, blob_files, capsys):
+    @pytest.mark.parametrize("source, flags, code, message", [
+        pytest.param("graph", ["--n-e", "0"], 2, "--n-e", id="n-e-zero"),
+        pytest.param("graph", ["--n-e", "10", "--tol", "1e-300"], 3, "exceeds tol",
+                     id="tiny-tol"),
+        # 10 distinct rows repeated 12 times: the 40 landmarks span rank 10
+        pytest.param("repeated", ["--nystrom", "--sample", "40", "--n-e", "5",
+                                  "--weight", "gaussian", "--sigma", "3"], 2, "near-singular",
+                     id="nystrom-near-singular"),
+    ])
+    def test_eigs_exit_codes(self, tmp_path, blob_files, source, flags, code, message, capsys):
         features, _ = blob_files
-        graph = tmp_path / "graph.txt"
-        main(["graph", str(features), "--out", str(graph),
-              "--weight", "gaussian", "--neighbors", "8"])
-        code = main(["eigs", str(graph), "--out", str(tmp_path / "e.txt"),
-                     "--n-e", "0"])
-        assert code == 2
-        assert "--n-e" in capsys.readouterr().err
+        path = tmp_path / "graph.txt"
+        if source == "graph":
+            main(["graph", str(features), "--out", str(path),
+                  "--weight", "gaussian", "--neighbors", "8"])
+        else:
+            path = tmp_path / "repeated.csv"
+            rows = np.random.default_rng(0).standard_normal((10, 4))
+            save_features_csv(np.repeat(rows, 12, axis=0), path)
+        capsys.readouterr()
+        out = tmp_path / "e.txt"
+        assert main(["eigs", str(path), "--out", str(out), *flags]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_foreign_cache_file(self, tmp_path, blob_files, capsys):
         bogus = tmp_path / "bogus.txt"
@@ -134,27 +167,53 @@ class TestValidation:
         assert code == 2
         assert "eigencache" in capsys.readouterr().err
 
-    def test_out_of_range_graph_cache(self, tmp_path, capsys):
+    @pytest.mark.parametrize("cols, message", [
+        pytest.param([5], "edge cache", id="out-of-range"),
+        pytest.param([2], "vertex 0 is isolated", id="isolated-vertex"),
+    ])
+    def test_bad_graph_cache(self, tmp_path, cols, message, capsys):
         graph = tmp_path / "graph.txt"
-        bad = SparseWeightGraph(3, np.array([1]), np.array([5]), np.array([0.5]))
+        bad = SparseWeightGraph(3, np.array([1]), np.array(cols), np.array([0.5]))
         save_graph(bad, graph)
         code = main(["eigs", str(graph), "--out", str(tmp_path / "e.txt"), "--n-e", "2"])
         assert code == 2
-        assert "edge cache" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
-    def test_bad_solver_parameters(self, tmp_path, blob_files, capsys):
-        features, labels = blob_files
-        graph = tmp_path / "graph.txt"
-        eigs = tmp_path / "eigs.txt"
-        main(["graph", str(features), "--out", str(graph),
-              "--weight", "gaussian", "--neighbors", "8"])
-        main(["eigs", str(graph), "--out", str(eigs), "--n-e", "10"])
-        code = main([
-            "segment", str(eigs), str(labels), "--out", str(tmp_path / "o.csv"),
-            "--solver", "gl", "--epsilon", "-1.0",
-        ])
-        assert code == 2
-        assert "epsilon" in capsys.readouterr().err
+    @pytest.mark.parametrize("stage, flags, message", [
+        pytest.param("segment", ["--solver", "gl", "--epsilon", "-1.0"], "epsilon",
+                     id="segment-epsilon"),
+        pytest.param("graph", ["--neighbors", "120"], "must be < N_D", id="graph-neighbors"),
+        pytest.param("bench", ["--fidelity-per-class", "41"], "fewer than the requested 41",
+                     id="bench-fidelity-per-class"),
+    ])
+    def test_bad_parameters(self, tmp_path, blob_files, stage, flags, message, capsys):
+        argv, out = stage_argv(stage, tmp_path, blob_files)
+        capsys.readouterr()
+        assert main([*argv, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage, flags, named", [
+        pytest.param("graph", ["--sigma", "2"], "--sigma", id="graph-local-scaling-sigma"),
+        pytest.param("graph", ["--weight", "cosine", "--sigma", "2"], "--sigma",
+                     id="graph-cosine-sigma"),
+        pytest.param("graph", ["--weight", "gaussian", "--m-scale", "3"], "--m-scale",
+                     id="graph-gaussian-m-scale"),
+        pytest.param("segment", ["--epsilon", "7"], "--epsilon", id="segment-mbo-epsilon"),
+        pytest.param("segment", ["--solver", "mbo", "--convexity", "99"], "--convexity",
+                     id="segment-mbo-convexity"),
+        pytest.param("segment", ["--solver", "gl", "--n-s", "4"], "--n-s", id="segment-gl-n-s"),
+        pytest.param("bench", ["--m-scale", "3"], "--m-scale", id="bench-gaussian-m-scale"),
+        pytest.param("bench", ["--epsilon", "2"], "--epsilon", id="bench-mbo-epsilon"),
+        pytest.param("bench", ["--solver", "gl", "--n-s", "4"], "--n-s", id="bench-gl-n-s"),
+    ])
+    def test_flags_the_path_does_not_read(self, tmp_path, blob_files, stage, flags, named,
+                                          capsys):
+        argv, out = stage_argv(stage, tmp_path, blob_files)
+        capsys.readouterr()
+        assert main([*argv, *flags]) == 2
+        assert f"{named} is not read" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cosine_weights_choose_their_metric(self, tmp_path, blobs, blob_files):
         features, _ = blob_files
@@ -277,6 +336,17 @@ class TestConfigFile:
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["solver"] == "gl"
 
+    @pytest.mark.parametrize("solver, read", [("gl", "epsilon"), ("mbo", "n_s")])
+    def test_config_value_the_solver_does_not_read_is_skipped(self, tmp_path, blob_files,
+                                                              solver, read):
+        argv, out = stage_argv("segment", tmp_path, blob_files)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epsilon": 2, "n_s": 4}))
+        assert main(["--config", str(config), *argv, "--solver", solver, "--dt", "1.0"]) == 0
+        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        assert manifest["config"][read] == {"epsilon": 2, "n_s": 4}[read]
+        assert len({"epsilon", "n_s"} & set(manifest["config"])) == 1
+
     def test_config_key_of_no_subcommand_rejected(self, tmp_path, blob_files, capsys):
         features, _ = blob_files
         config = tmp_path / "config.json"
@@ -320,7 +390,24 @@ class TestBench:
         assert (tmp_path / "bench.timings.json").exists()
         assert (tmp_path / "bench.txt").exists()
 
-    def test_unknown_dataset_flags(self, tmp_path, capsys):
-        code = main(["bench", "--dataset", "csv", "--out", str(tmp_path / "b")])
-        assert code == 2
-        assert "requires" in capsys.readouterr().err
+    @pytest.mark.parametrize("inputs, message", [
+        pytest.param("none", "requires", id="no-inputs"),
+        pytest.param("mismatched", "feature rows and label count differ", id="mismatched-csvs"),
+    ])
+    def test_bad_dataset_inputs(self, tmp_path, blob_files, blobs, inputs, message, capsys):
+        argv = ["bench", "--dataset", "csv", "--out", str(tmp_path / "b")]
+        if inputs == "mismatched":
+            labels = tmp_path / "short.csv"
+            save_labels_csv(blobs.labels[:-1], labels)
+            argv += ["--features", str(blob_files[0]), "--labels", str(labels)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
+    def test_eigensolver_failure_exit_code(self, tmp_path, blob_files, capsys):
+        # local scaling with M = 1 cuts the blobs into three components; on
+        # that spectrum Lanczos does not converge within its 100 * n_e budget
+        argv, out = stage_argv("bench", tmp_path, blob_files)
+        assert main([*argv, "--weight", "local_scaling", "--neighbors", "10"]) == 3
+        assert "eigensolver did not converge" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,7 +9,7 @@ BENCH_<T>.json at the root of the checkout it sits in. Per workload the
 file holds the operation counts of both runs, every end-to-end and
 per-layer metric with its unit and sample count, and the exact counts; at
 the top it holds the run record (revision, source digest, BLAS and thread
-cap). Uses the standard library only; the benchmark imports numpy itself.
+cap) and the line count of the Python sources under src/. Uses the standard library only; the benchmark imports numpy itself.
 """
 
 import argparse
@@ -39,6 +39,17 @@ def run_once(command, workload, seed, seconds, trace):
         return json.loads(lines[-1]), json.load(f)
 
 
+def src_lines():
+    """Lines of the Python sources under src/, counted as `wc -l` does."""
+    total = 0
+    for folder, _, names in os.walk(os.path.join(ROOT, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), "rb") as f:
+                    total += f.read().count(b"\n")
+    return total
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="names the file BENCH_<tag>.json")
@@ -49,7 +60,8 @@ def main(argv=None):
         spec = json.load(f)
     seconds = spec["run_seconds"]
     bench = {"tag": args.tag, "seed": args.seed, "seconds": seconds,
-             "command": spec["command"], "record": None, "workloads": {}}
+             "command": spec["command"], "record": None, "src_lines": src_lines(),
+             "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         entry = {}
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
@@ -69,7 +81,7 @@ def main(argv=None):
     with open(out, "w") as f:
         json.dump(bench, f, indent=1, sort_keys=True)
         f.write("\n")
-    print(f"wrote {out}")
+    print(f"wrote {out}; src/ has {bench['src_lines']} lines")
     for workload, entry in bench["workloads"].items():
         e2e, layers = entry["end_to_end"], entry["per_layer"]
         cells = [f"{name} {metrics[name]['value']:.4g}"

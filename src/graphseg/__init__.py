@@ -13,7 +13,7 @@ from graphseg.graph import (
     normalized_laplacian,
 )
 from graphseg.spectral import SpectralBasis, smallest_eigenpairs, nystrom_eigenpairs
-from graphseg.simplex import project_to_simplex, project_rows, nearest_vertex, nearest_vertices
+from graphseg.simplex import project_rows, nearest_vertices
 from graphseg.fields import FidelitySet, random_label_field
 from graphseg.gl import GLConfig, gl_segment, gl_step, multiclass_energy, well_derivative
 from graphseg.mbo import MBOConfig, mbo_segment, mbo_diffusion_step

@@ -1,35 +1,23 @@
 """Command-line front end: graph construction, eigendecomposition,
 segmentation, and multi-seed benchmarks with cached intermediates.
 
-Exit codes: 0 success, 2 invalid input (a ValueError), 3 numerical failure
-or non-convergence (a FloatingPointError, or a solver stop at --max-iters;
-partial results are still written). A flag that is not given takes the
-library's default, and a flag the chosen path does not read is an error.
-GRAPHSEG_THREADS caps the BLAS/OpenMP thread pools; a JSON config file may
+Exit codes: 0 success, 2 invalid input (a ValueError, or an OSError: a file
+that cannot be read or written), 3 numerical failure or non-convergence (a
+FloatingPointError, or a solver stop at --max-iters; partial results are
+still written). A flag that is not given takes the library's default, and a
+flag the chosen path does not read is an error. A JSON config file may
 replace flags, with explicit flags taking precedence.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
+
+from graphseg.graph import WEIGHT_KINDS
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
-WEIGHT_KINDS = ("gaussian", "local_scaling", "cosine")
-
-
-def _cap_threads():
-    cap = os.environ.get("GRAPHSEG_THREADS")
-    if cap:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ.setdefault(var, cap)
 
 
 def _sha256(path):
@@ -38,12 +26,6 @@ def _sha256(path):
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _require_file(path):
-    if not os.path.isfile(path):
-        raise ValueError(f"input file not found: {path}")
-    return path
 
 
 def _read_flags(args, read, unread=(), path=None):
@@ -77,7 +59,7 @@ def cmd_graph(args):
     from graphseg.graph import knn_graph, save_graph
 
     spec = _weight_spec(args)
-    features = load_features_csv(_require_file(args.features))
+    features = load_features_csv(args.features)
     graph = knn_graph(features, spec)
     save_graph(graph, args.out)
     print(f"wrote {args.out}: {graph.n_vertices} vertices, {graph.n_edges} edges")
@@ -101,7 +83,7 @@ def cmd_eigs(args):
         kwargs = _read_flags(args, ["sigma"] if gaussian else [],
                              ["tol"] if gaussian else ["tol", "sigma"],
                              f"with --nystrom --weight {args.weight}")
-        features = load_features_csv(_require_file(args.input))
+        features = load_features_csv(args.input)
         # the Nystrom kernel is fully connected: no neighbor count
         spec = WeightSpec(kind=args.weight, neighbors=1, **kwargs)
         basis = nystrom_eigenpairs(features, spec, args.sample, args.n_e,
@@ -111,7 +93,7 @@ def cmd_eigs(args):
 
         kwargs = _read_flags(args, ["tol", "seed"], ["weight", "sigma", "sample"],
                              "without --nystrom")
-        graph = load_graph(_require_file(args.input))
+        graph = load_graph(args.input)
         if args.n_e > graph.n_vertices:
             raise ValueError("--n-e exceeds the number of vertices")
         basis = smallest_eigenpairs(normalized_laplacian(graph), args.n_e, **kwargs)
@@ -143,8 +125,8 @@ def cmd_segment(args):
     from graphseg.mbo import mbo_segment
     from graphseg.spectral import load_basis
 
-    basis = load_basis(_require_file(args.eigs))
-    labels = load_labels_csv(_require_file(args.labels))
+    basis = load_basis(args.eigs)
+    labels = load_labels_csv(args.labels)
     if labels.size != basis.n_vertices:
         raise ValueError(
             f"label count {labels.size} does not match basis size {basis.n_vertices}"
@@ -195,15 +177,13 @@ def _load_dataset(args):
     if args.dataset == "csv":
         if not (args.features and args.labels):
             raise ValueError("--dataset csv requires --features and --labels")
-        feats = data.load_features_csv(_require_file(args.features))
-        labels = data.load_labels_csv(_require_file(args.labels))
+        feats = data.load_features_csv(args.features)
+        labels = data.load_labels_csv(args.labels)
         return data.LabeledDataset(feats, labels, int(labels.max()) + 1)
     # argparse's choices leave "mnist"
     if not (args.mnist_images and args.mnist_labels):
         raise ValueError("--dataset mnist requires --mnist-images and --mnist-labels")
-    ds = data.load_mnist_idx(
-        _require_file(args.mnist_images), _require_file(args.mnist_labels)
-    )
+    ds = data.load_mnist_idx(args.mnist_images, args.mnist_labels)
     if args.subset:
         ds = data.stratified_subset(ds, args.subset, args.data_seed)
     return ds
@@ -324,8 +304,6 @@ def _merge_config_file(parser, argv):
     if not getattr(ns, "config", None):
         return argv, set()
     path = ns.config
-    if not os.path.isfile(path):
-        raise ValueError(f"config file not found: {path}")
     with open(path) as f:
         values = json.load(f)
     if not isinstance(values, dict):
@@ -353,7 +331,6 @@ def _merge_config_file(parser, argv):
 
 
 def main(argv=None):
-    _cap_threads()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -361,7 +338,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         args.configured = configured
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:

@@ -79,9 +79,6 @@ class BenchmarkReport:
     mean_accuracy: float
     timings: dict
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, base_seed=0):
     """Run the full pipeline n_seeds times over a shared graph and spectrum.
@@ -125,7 +122,7 @@ def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, b
 def write_report(report, results_path, timings_path, table_path=None):
     """Emit the machine-readable report (deterministic part and timings in
     separate files) and an optional human-readable table."""
-    payload = report.as_dict()
+    payload = asdict(report)
     timings = payload.pop("timings")
     with open(results_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

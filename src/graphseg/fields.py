@@ -1,8 +1,8 @@
 """Shared solver core: fidelity sets and their check, random phase-field
-initialization, the diagonal solve in a truncated eigenbasis, and the
-iteration driver with its relative-change stopping criterion."""
+initialization, the diagonal solve in a truncated eigenbasis, the iteration
+driver with its relative-change stopping criterion, and the result record."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from graphseg.simplex import project_rows
 
 __all__ = [
     "FidelitySet",
+    "SegmentResult",
     "check_fidelity",
     "random_label_field",
     "spectral_solve",
@@ -65,12 +66,26 @@ class FidelitySet:
         return cls(np.asarray(indices, dtype=np.int64), targets, mu)
 
 
-def check_fidelity(fidelity):
-    """Reject a fidelity set that is empty or misses a class."""
+@dataclass(frozen=True)
+class SegmentResult:
+    """Final field, labels and run diagnostics; final_energy is None for MBO."""
+
+    field: np.ndarray
+    labels: np.ndarray
+    iterations: int
+    converged: bool
+    final_energy: float = None
+    wall_time: float = field(default=0.0, compare=False)
+
+
+def check_fidelity(fidelity, cfg):
+    """Reject a fidelity set that is empty, misses a class, or is not at cfg.mu."""
     if fidelity.indices.size == 0:
         raise ValueError("fidelity set must be nonempty")
     if np.unique(fidelity.labels).size != fidelity.n_classes:
         raise ValueError("fidelity set must contain samples of every class")
+    if fidelity.mu != cfg.mu:
+        raise ValueError(f"fidelity mu={fidelity.mu} differs from config mu={cfg.mu}")
 
 
 def random_label_field(n_vertices, fidelity, seed):

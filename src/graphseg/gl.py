@@ -8,11 +8,12 @@ explicitly, then projects each row back to the Gibbs simplex.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from graphseg.fields import check_fidelity, iterate, random_label_field, row_sum, spectral_solve
+from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
+                             row_sum, spectral_solve)
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.graph import NormalizedLaplacian
 from graphseg.simplex import nearest_vertices, project_rows
@@ -20,7 +21,6 @@ from graphseg.spectral import SpectralBasis
 
 __all__ = [
     "GLConfig",
-    "GLResult",
     "multiclass_energy",
     "well_derivative",
     "gl_step",
@@ -57,18 +57,6 @@ class GLConfig:
             raise ValueError("n_e and max_iters must be >= 1")
         if self.c < self.mu + 1.0 / self.epsilon - 1e-12:
             raise ValueError("convexity constant must satisfy c >= mu + 1/epsilon")
-
-
-@dataclass(frozen=True)
-class GLResult:
-    """Final phase field, per-node labels, and run diagnostics."""
-
-    field: np.ndarray
-    labels: np.ndarray
-    iterations: int
-    converged: bool
-    final_energy: float
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def _row_l1_to_vertices(u):
@@ -145,14 +133,14 @@ def gl_segment(basis, fidelity, cfg):
     or at max_iters (non-converged flag). Labels are the nearest simplex
     vertices of the final rows.
     """
-    check_fidelity(fidelity)
+    check_fidelity(fidelity, cfg)
     start = time.perf_counter()
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, iterations, converged = iterate(
         lambda u: gl_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
     )
     energy = multiclass_energy(u, basis, fidelity, cfg.epsilon)
-    return GLResult(
+    return SegmentResult(
         field=u,
         labels=nearest_vertices(u),
         iterations=iterations,

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from graphseg.cache import load_arrays, save_arrays
 
 __all__ = [
+    "WEIGHT_KINDS",
     "WeightSpec",
     "SparseWeightGraph",
     "NormalizedLaplacian",
@@ -33,6 +34,8 @@ __all__ = [
 # whole product; narrower ones need not.
 _BLOCK_ROWS = 512
 
+WEIGHT_KINDS = ("gaussian", "local_scaling", "cosine")
+
 
 @dataclass(frozen=True)
 class WeightSpec:
@@ -48,7 +51,7 @@ class WeightSpec:
     m_scale: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "local_scaling", "cosine"):
+        if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.neighbors < 1:
             raise ValueError("neighbors must be >= 1")
@@ -163,6 +166,16 @@ def _nearest(keys, cols, k, squared):
             np.take_along_axis(dist, order, axis=1), tied)
 
 
+def check_features(features):
+    """`features` as a float array: 2-D, at least 2 rows, every entry finite."""
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] < 2:
+        raise ValueError("features must be a 2-D array with at least 2 rows")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite entries")
+    return features
+
+
 def unit_rows(features):
     """The rows of `features` scaled to unit Euclidean norm; a zero row raises."""
     norms = np.linalg.norm(features, axis=1)
@@ -206,11 +219,7 @@ def knn_graph(features, spec):
       short last block, so that block takes no mirrored tiles and multiplies
       its own rows with every column group.
     """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[0] < 2:
-        raise ValueError("features must be a 2-D array with at least 2 rows")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features contain non-finite entries")
+    features = check_features(features)
     n = features.shape[0]
     if spec.neighbors >= n:
         raise ValueError(f"neighbors N={spec.neighbors} must be < N_D={n}")

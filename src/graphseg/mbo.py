@@ -7,17 +7,17 @@ simplex vertex.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from graphseg.fields import check_fidelity, iterate, random_label_field, spectral_solve
+from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
+                             spectral_solve)
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.simplex import nearest_vertices, project_rows
 
 __all__ = [
     "MBOConfig",
-    "MBOResult",
     "mbo_diffusion_step",
     "mbo_step",
     "mbo_segment",
@@ -44,17 +44,6 @@ class MBOConfig:
             raise ValueError("mu must be nonnegative and eta positive")
         if self.n_s < 1 or self.n_e < 1 or self.max_iters < 1:
             raise ValueError("n_s, n_e and max_iters must be >= 1")
-
-
-@dataclass(frozen=True)
-class MBOResult:
-    """Thresholded phase field, labels, and run diagnostics."""
-
-    field: np.ndarray
-    labels: np.ndarray
-    iterations: int
-    converged: bool
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def mbo_diffusion_step(u, basis, fidelity, cfg):
@@ -84,7 +73,7 @@ def mbo_segment(basis, fidelity, cfg):
     The stopping criterion is evaluated on the thresholded (vertex-valued)
     fields, so convergence means no node changes class.
     """
-    check_fidelity(fidelity)
+    check_fidelity(fidelity, cfg)
     if not cfg.dt > 0:
         raise ValueError("dt must be positive")
     start = time.perf_counter()
@@ -92,7 +81,7 @@ def mbo_segment(basis, fidelity, cfg):
     u, iterations, converged = iterate(
         lambda u: mbo_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
     )
-    return MBOResult(
+    return SegmentResult(
         field=u,
         labels=nearest_vertices(u),
         iterations=iterations,

@@ -9,7 +9,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["project_to_simplex", "project_rows", "nearest_vertex", "nearest_vertices"]
+__all__ = ["project_rows", "nearest_vertices"]
 
 
 def _check_finite(a):
@@ -29,19 +29,8 @@ def _comparators(k):
     return tuple(pairs)
 
 
-def project_to_simplex(v):
-    """Euclidean projection of a length-K vector onto the Gibbs simplex.
-
-    Returns argmin_{s in simplex} ||s - v||_2.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a 1-D vector with at least one entry")
-    return project_rows(v[None, :])[0]
-
-
 def project_rows(V):
-    """Project each row of an (n, K) array onto the Gibbs simplex.
+    """Project each row v of an (n, K) array to argmin_{s in simplex} ||s - v||_2.
 
     Every step, the sort included, is an operation on whole class columns,
     in the order of np.cumsum and np.argmax, so the bytes equal the row-wise
@@ -68,13 +57,6 @@ def project_rows(V):
         theta = np.where(hold, theta_j, theta)
     out = V - theta[:, None]
     return np.maximum(out, 0.0, out=out)
-
-
-def nearest_vertex(v):
-    """Index of the simplex vertex e_k closest to v (ties -> lowest index)."""
-    v = np.asarray(v, dtype=float)
-    _check_finite(v)
-    return int(np.argmax(v))
 
 
 def nearest_vertices(V):

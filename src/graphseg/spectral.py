@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from graphseg.cache import load_arrays, save_arrays
-from graphseg.graph import NormalizedLaplacian, unit_rows
+from graphseg.graph import check_features, unit_rows
 
 __all__ = [
     "SpectralBasis",
@@ -67,14 +67,14 @@ def _fix_signs(vecs):
 
 
 def smallest_eigenpairs(laplacian, n_e, tol=1e-8, seed=0, max_matvecs=None):
-    """Compute the n_e algebraically smallest eigenpairs of L_s.
+    """Compute the n_e algebraically smallest eigenpairs of L_s = laplacian.matrix.
 
     Runs an implicitly restarted Lanczos iteration on 2I - L_s (largest
     pairs) and maps back, so no shift-invert factorization is needed.
     Eigenvector signs are fixed so the largest-magnitude entry of each
     column is positive. Raises EigensolverError on non-convergence.
     """
-    ls = laplacian.matrix if isinstance(laplacian, NormalizedLaplacian) else sp.csr_matrix(laplacian)
+    ls = laplacian.matrix
     n = ls.shape[0]
     if not 1 <= n_e <= n:
         raise ValueError(f"n_e={n_e} must be in [1, {n}]")
@@ -145,7 +145,7 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
     normalizes, and eigendecomposes with the one-shot symmetric
     completion correction so the extended vectors come out orthonormal.
     """
-    features = np.asarray(features, dtype=float)
+    features = check_features(features)
     n = features.shape[0]
     if not n_e <= sample_size <= n:
         raise ValueError("need n_e <= sample_size <= N_D")

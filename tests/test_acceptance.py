@@ -32,7 +32,7 @@ from graphseg.gl import (
 )
 from graphseg.graph import WeightSpec, knn_graph, normalized_laplacian
 from graphseg.mbo import MBOConfig, mbo_diffusion_step
-from graphseg.simplex import project_to_simplex
+from graphseg.simplex import project_rows
 from graphseg.spectral import nystrom_eigenpairs, smallest_eigenpairs
 from oracles import (
     all_subsets,
@@ -206,7 +206,7 @@ def test_criterion_5_property_suites(moons_dataset, report):
     # simplex projection vs grid oracle on 1000 vectors
     for _ in range(1000):
         v = rng.uniform(-3, 3, size=int(rng.integers(1, 6)))
-        if np.max(np.abs(project_to_simplex(v) - grid_project_simplex(v))) > 1e-6:
+        if np.max(np.abs(project_rows(v[None])[0] - grid_project_simplex(v))) > 1e-6:
             failures.append("simplex grid oracle")
             break
 
@@ -214,12 +214,12 @@ def test_criterion_5_property_suites(moons_dataset, report):
     for _ in range(200):
         k = int(rng.integers(2, 6))
         v1, v2 = rng.uniform(-5, 5, size=(2, k))
-        p1, p2 = project_to_simplex(v1), project_to_simplex(v2)
+        p1, p2 = project_rows(np.stack([v1, v2]))
         perm = rng.permutation(k)
         if (
-            np.max(np.abs(project_to_simplex(p1) - p1)) > 1e-12
+            np.max(np.abs(project_rows(p1[None]) - p1)) > 1e-12
             or np.linalg.norm(p1 - p2) > np.linalg.norm(v1 - v2) + 1e-12
-            or not np.allclose(project_to_simplex(v1[perm]), p1[perm], atol=1e-12)
+            or not np.allclose(project_rows(v1[None, perm])[0], p1[perm], atol=1e-12)
         ):
             failures.append("projection properties")
             break

@@ -123,6 +123,16 @@ class TestValidation:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [
+        pytest.param("missing/g.npz", id="missing-directory"),
+        pytest.param(".", id="directory"),
+    ])
+    def test_unwritable_out(self, tmp_path, blob_files, out, capsys):
+        # the OSError exits 2 with its own message, not with a traceback
+        out = tmp_path / out
+        assert main(["graph", str(blob_files[0]), "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+
     @pytest.mark.parametrize("source, flags, code, message", [
         pytest.param("graph", ["--n-e", "0"], 2, "--n-e", id="n-e-zero"),
         pytest.param("graph", ["--n-e", "10", "--tol", "1e-300"], 3, "exceeds tol",
@@ -361,7 +371,7 @@ class TestConfigFile:
             "--config", str(tmp_path / "nope.json"), "bench", "--dataset", "moons",
         ])
         assert code == 2
-        assert "config file" in capsys.readouterr().err
+        assert str(tmp_path / "nope.json") in capsys.readouterr().err
 
     def test_non_object_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"

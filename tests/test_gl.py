@@ -249,6 +249,10 @@ class TestSegment:
         fid = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
         with pytest.raises(ValueError, match="every class"):
             gl_segment(moons_basis15, fid, GLConfig(n_e=15))
+        # the convexity bound c >= mu + 1/epsilon is checked against cfg.mu
+        fid = FidelitySet.from_labels(np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 300.0)
+        with pytest.raises(ValueError, match="mu=300.0 differs from config mu=30.0"):
+            gl_segment(moons_basis15, fid, GLConfig(n_e=15, mu=30.0))
 
     def test_blow_up_raises(self, moons_basis15):
         # 1 + c dt overflows to inf, and inf * 0 is NaN

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from graphseg.data import MoonsSpec, generate_three_moons
 from graphseg.graph import (
     SparseWeightGraph,
     WeightSpec,
@@ -157,6 +158,19 @@ class TestNystrom:
         with pytest.raises(ValueError) as nystrom:
             nystrom_eigenpairs(feats, spec, sample_size=10, n_e=3)
         assert str(nystrom.value) == str(knn.value) == "zero feature vector at row 4"
+
+    # at row 299 the basis came out all NaN; at rows 7 and 150 eigh raised
+    # "Eigenvalues did not converge"
+    @pytest.mark.parametrize("row", [7, 150, 299])
+    def test_non_finite_features_rejected_as_by_knn_graph(self, row):
+        feats = generate_three_moons(MoonsSpec(points_per_class=100, seed=0)).features
+        feats[row, 2] = np.nan
+        spec = WeightSpec(kind="gaussian", neighbors=10, sigma=2.0)
+        with pytest.raises(ValueError) as knn:
+            knn_graph(feats, spec)
+        with pytest.raises(ValueError) as nystrom:
+            nystrom_eigenpairs(feats, spec, sample_size=60, n_e=5)
+        assert str(nystrom.value) == str(knn.value) == "features contain non-finite entries"
 
     def test_local_scaling_rejected(self):
         feats = np.random.default_rng(18).normal(size=(20, 2))

@@ -170,6 +170,9 @@ def cmd_segment(args):
 def _load_dataset(args):
     from graphseg import data
 
+    reads = {"csv": ("features", "labels"), "mnist": ("mnist_images", "mnist_labels", "subset")}
+    _read_flags(args, [], [n for d, names in reads.items() if d != args.dataset for n in names],
+                f"with --dataset {args.dataset}")
     if args.dataset == "moons":
         return data.generate_three_moons(
             data.MoonsSpec(seed=args.data_seed)

@@ -210,9 +210,7 @@ def sample_fidelity(dataset, per_class, seed, mu):
     the dataset sampled proportionally across classes.
     """
     indices = _pick_per_class(dataset, per_class, seed)
-    return FidelitySet.from_labels(
-        indices, dataset.labels[indices], dataset.n_classes, mu
-    )
+    return FidelitySet(indices, dataset.labels[indices], dataset.n_classes, mu)
 
 
 def stratified_subset(dataset, n_samples, seed):

@@ -22,48 +22,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FidelitySet:
-    """Labeled node indices, one-hot target rows, and fidelity strength mu.
+    """Labeled node indices, their classes in [0, n_classes), and fidelity
+    strength mu; targets holds the one-hot simplex vertex of each label.
 
     mu expands to the per-node weight mu_i = mu on labeled nodes and 0
     elsewhere (soft assignment: labeled nodes may still change state).
     """
 
     indices: np.ndarray
-    targets: np.ndarray
+    labels: np.ndarray
+    n_classes: int
     mu: float
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
-        tgt = np.asarray(self.targets, dtype=float)
+        lab = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "targets", tgt)
+        object.__setattr__(self, "labels", lab)
         if idx.size != np.unique(idx).size:
             raise ValueError("fidelity indices must be distinct")
         if idx.size and idx.min() < 0:
             raise ValueError("fidelity indices must be nonnegative")
-        if tgt.shape[0] != idx.size:
-            raise ValueError("one target row required per fidelity index")
-        if tgt.size and not (
-            np.all((tgt == 0) | (tgt == 1)) and np.all(tgt.sum(axis=1) == 1)
-        ):
-            raise ValueError("fidelity targets must be one-hot simplex vertices")
+        if lab.shape != idx.shape or np.any((lab < 0) | (lab >= self.n_classes)):
+            raise ValueError("one fidelity label in [0, n_classes) required per index")
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-
-    @property
-    def n_classes(self):
-        return self.targets.shape[1]
-
-    @property
-    def labels(self):
-        return np.argmax(self.targets, axis=1)
-
-    @classmethod
-    def from_labels(cls, indices, labels, n_classes, mu):
-        labels = np.asarray(labels, dtype=np.int64)
-        targets = np.zeros((labels.size, n_classes))
-        targets[np.arange(labels.size), labels] = 1.0
-        return cls(np.asarray(indices, dtype=np.int64), targets, mu)
+        targets = np.zeros((lab.size, self.n_classes))
+        targets[np.arange(lab.size), lab] = 1.0
+        object.__setattr__(self, "targets", targets)
 
 
 @dataclass(frozen=True)

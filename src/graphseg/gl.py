@@ -15,9 +15,7 @@ import numpy as np
 from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
                              row_sum, spectral_solve)
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
-from graphseg.graph import NormalizedLaplacian
 from graphseg.simplex import nearest_vertices, project_rows
-from graphseg.spectral import SpectralBasis
 
 __all__ = [
     "GLConfig",
@@ -65,24 +63,14 @@ def _row_l1_to_vertices(u):
     return row_sum(a)[:, None] - a + np.abs(u - 1.0)
 
 
-def multiclass_energy(u, operator, fidelity, epsilon):
-    """Ginzburg-Landau energy: smoothing + multi-well potential + fidelity.
-
-    operator may be a NormalizedLaplacian, a sparse/dense matrix, or a
-    SpectralBasis (the smoothing term is then evaluated in the truncated
-    basis).
-    """
+def multiclass_energy(u, basis, fidelity, epsilon):
+    """Ginzburg-Landau energy: smoothing + multi-well potential + fidelity,
+    with the smoothing term evaluated in the truncated SpectralBasis."""
     u = np.asarray(u, dtype=float)
-    if isinstance(operator, SpectralBasis):
-        if operator.n_vertices != u.shape[0]:
-            raise ValueError("field and basis dimensions do not match")
-        proj = operator.eigenvectors.T @ u
-        smoothing = float(np.sum(operator.eigenvalues[:, None] * proj**2))
-    else:
-        mat = operator.matrix if isinstance(operator, NormalizedLaplacian) else operator
-        if mat.shape[0] != u.shape[0]:
-            raise ValueError("field and Laplacian dimensions do not match")
-        smoothing = float(np.sum(u * (mat @ u)))
+    if basis.n_vertices != u.shape[0]:
+        raise ValueError("field and basis dimensions do not match")
+    proj = basis.eigenvectors.T @ u
+    smoothing = float(np.sum(basis.eigenvalues[:, None] * proj**2))
 
     q = 0.25 * _row_l1_to_vertices(u) ** 2
     potential = float(np.sum(np.prod(q, axis=1)))

@@ -82,14 +82,6 @@ class SparseWeightGraph:
         np.add.at(d, self.cols, self.weights)
         return d
 
-    def validate(self):
-        if np.any(self.rows >= self.cols):
-            raise ValueError("edge list must be stored with i < j")
-        if np.any(self.rows < 0) or np.any(self.cols >= self.n_vertices):
-            raise ValueError("vertex indices must lie in [0, n)")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("edge weights must be finite and positive")
-
     @property
     def n_edges(self):
         return self.rows.size
@@ -109,10 +101,6 @@ class NormalizedLaplacian:
 
     matrix: sp.csr_matrix
     graph: SparseWeightGraph
-
-    @property
-    def n_vertices(self):
-        return self.matrix.shape[0]
 
 
 def gaussian_weight(d, sigma):
@@ -394,6 +382,6 @@ def load_graph(path):
             and rows.shape == cols.shape == weights.shape == (weights.size,)
             and np.all((0 <= rows) & (rows < cols) & (cols < n))):
         raise ValueError(f"{path}: not a graphseg edge cache")
-    g = SparseWeightGraph(int(n), rows, cols, weights)
-    g.validate()
-    return g
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise ValueError("edge weights must be finite and positive")
+    return SparseWeightGraph(int(n), rows, cols, weights)

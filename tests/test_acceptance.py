@@ -255,7 +255,7 @@ def test_criterion_5_property_suites(moons_dataset, report):
     g = random_connected_graph(rng, 30)
     lap = normalized_laplacian(g)
     fb = smallest_eigenpairs(lap, 30)
-    fid = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 1]), 2, 30.0)
+    fid = FidelitySet(np.array([0, 1]), np.array([0, 1]), 2, 30.0)
     cfg = MBOConfig(n_e=30, dt=0.15, n_s=3, mu=30.0)
     u = random_label_field(30, fid, seed=0)
     r = u.copy()
@@ -271,7 +271,7 @@ def test_criterion_5_property_suites(moons_dataset, report):
     ])
     g2 = knn_graph(feats, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
     b2 = smallest_eigenpairs(normalized_laplacian(g2), 12)
-    fid2 = FidelitySet.from_labels(
+    fid2 = FidelitySet(
         np.array([0, 3, 55, 60]), np.array([0, 0, 1, 1]), 2, 30.0
     )
     eq = binary_equivalence_check(b2, fid2, MBOConfig(n_e=12, seed=1))

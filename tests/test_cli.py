@@ -216,6 +216,12 @@ class TestValidation:
         pytest.param("bench", ["--m-scale", "3"], "--m-scale", id="bench-gaussian-m-scale"),
         pytest.param("bench", ["--epsilon", "2"], "--epsilon", id="bench-mbo-epsilon"),
         pytest.param("bench", ["--solver", "gl", "--n-s", "4"], "--n-s", id="bench-gl-n-s"),
+        pytest.param("bench", ["--subset", "30"], "--subset", id="bench-csv-subset"),
+        pytest.param("bench", ["--mnist-images", "x"], "--mnist-images",
+                     id="bench-csv-mnist-images"),
+        pytest.param("bench", ["--dataset", "moons"], "--features", id="bench-moons-features"),
+        pytest.param("bench", ["--dataset", "mnist", "--mnist-images", "x", "--mnist-labels",
+                               "y"], "--features", id="bench-mnist-features"),
     ])
     def test_flags_the_path_does_not_read(self, tmp_path, blob_files, stage, flags, named,
                                           capsys):
@@ -356,6 +362,14 @@ class TestConfigFile:
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["config"][read] == {"epsilon": 2, "n_s": 4}[read]
         assert len({"epsilon", "n_s"} & set(manifest["config"])) == 1
+
+    def test_config_dataset_flag_the_path_does_not_read_is_skipped(self, tmp_path,
+                                                                   blob_files):
+        argv, out = stage_argv("bench", tmp_path, blob_files)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"subset": 30, "mnist_images": "x"}))
+        assert main(["--config", str(config), *argv]) == 0
+        assert out.exists()
 
     def test_config_key_of_no_subcommand_rejected(self, tmp_path, blob_files, capsys):
         features, _ = blob_files

@@ -13,6 +13,7 @@ from graphseg.data import (
     save_labels_csv,
     stratified_subset,
 )
+from graphseg.fields import FidelitySet
 from oracles import write_idx_images, write_idx_labels
 
 
@@ -184,3 +185,19 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), 2)
     with pytest.raises(ValueError, match="nonempty"):
         LabeledDataset(np.zeros((2, 2)), np.array([0, 0]), 2)
+
+
+def test_fidelity_set_builds_one_hot_targets_from_labels():
+    fid = FidelitySet([4, 0], [2, 0], 3, 30.0)
+    assert np.array_equal(fid.targets, [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    assert fid.targets.dtype == np.float64
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param([-1, 0], id="negative"),
+    pytest.param([0, 3], id="n-classes"),
+    pytest.param([0], id="fewer-than-indices"),
+])
+def test_fidelity_set_rejects_bad_labels(labels):
+    with pytest.raises(ValueError, match=r"label in \[0, n_classes\)"):
+        FidelitySet([0, 1], labels, 3, 30.0)

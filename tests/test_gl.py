@@ -23,7 +23,12 @@ from oracles import (
 
 
 def empty_fidelity(k, mu=1.0):
-    return FidelitySet(np.empty(0, dtype=np.int64), np.empty((0, k)), mu)
+    return FidelitySet(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), k, mu)
+
+
+def no_smoothing(n):
+    """A one-column basis with eigenvalue 0: the smoothing term vanishes."""
+    return SpectralBasis(np.zeros(1), np.full((n, 1), n**-0.5), "exact")
 
 
 def complete_graph_basis(n):
@@ -57,18 +62,18 @@ class TestEnergy:
         # smoothing and fidelity vanish; the well value is (1/16) / (2 eps)
         u = np.array([[0.5, 0.5]])
         for eps in (0.5, 1.0, 2.0):
-            e = multiclass_energy(u, np.zeros((1, 1)), empty_fidelity(2), eps)
+            e = multiclass_energy(u, no_smoothing(1), empty_fidelity(2), eps)
             assert e == pytest.approx(1.0 / (32.0 * eps))
 
     def test_vertex_rows_have_zero_potential(self):
         u = np.eye(4)[[0, 2, 1, 3, 3]]
-        e = multiclass_energy(u, np.zeros((5, 5)), empty_fidelity(4), 1.0)
+        e = multiclass_energy(u, no_smoothing(5), empty_fidelity(4), 1.0)
         assert e == 0.0
 
     def test_fidelity_term(self):
         u = np.array([[1.0, 0.0], [0.0, 1.0]])
-        fid = FidelitySet(np.array([0]), np.array([[0.0, 1.0]]), mu=3.0)
-        e = multiclass_energy(u, np.zeros((2, 2)), fid, 1.0)
+        fid = FidelitySet(np.array([0]), np.array([1]), 2, mu=3.0)
+        e = multiclass_energy(u, no_smoothing(2), fid, 1.0)
         assert e == pytest.approx(0.5 * 3.0 * 2.0)
 
     def test_smoothing_matches_between_operator_forms(self):
@@ -78,14 +83,16 @@ class TestEnergy:
         basis = smallest_eigenpairs(lap, 30)
         u = rng.uniform(size=(30, 3))
         fid = empty_fidelity(3)
-        e_dense = multiclass_energy(u, lap, fid, 1.0)
+        e_dense = 0.5 * np.sum(u * (lap.matrix @ u)) + multiclass_energy(
+            u, no_smoothing(30), fid, 1.0
+        )
         e_basis = multiclass_energy(u, basis, fid, 1.0)
         assert e_basis == pytest.approx(e_dense, rel=1e-10)
 
     def test_energy_matches_oracle_potential(self):
         rng = np.random.default_rng(21)
         u = rng.uniform(size=(10, 4))
-        e = multiclass_energy(u, np.zeros((10, 10)), empty_fidelity(4), 1.0)
+        e = multiclass_energy(u, no_smoothing(10), empty_fidelity(4), 1.0)
         ref = sum(well_potential(row) for row in u) / 2.0
         assert e == pytest.approx(ref, rel=1e-12)
 
@@ -130,7 +137,7 @@ class TestStep:
 
     def test_large_mu_pins_labeled_rows(self):
         basis = complete_graph_basis(8)
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([0, 3]), np.array([1, 0]), 2, mu=1e6
         )
         cfg = GLConfig(n_e=8, mu=1e6, dt=0.1)
@@ -148,22 +155,22 @@ class TestStep:
         rng = np.random.default_rng(24)
         lap = normalized_laplacian(random_connected_graph(rng, n))
         basis = smallest_eigenpairs(lap, n)
-        fid = FidelitySet.from_labels(np.array([0, 1, 2]), np.array([0, 1, 2]), 3, 30.0)
+        fid = FidelitySet(np.array([0, 1, 2]), np.array([0, 1, 2]), 3, 30.0)
         no_fidelity = empty_fidelity(1)
-        no_smoothing = np.zeros((n, n))
+        flat = no_smoothing(n)
         # strictly interior rows, where the potential is differentiable
         u = rng.dirichlet(np.ones(3), size=n)
 
         for epsilon in (0.4, 1.0, 2.5):
             cfg = GLConfig(n_e=n, epsilon=epsilon, dt=0.05, mu=30.0)
             explicit = gradient_fd(
-                lambda v: multiclass_energy(v, no_smoothing, fid, epsilon), u
+                lambda v: multiclass_energy(v, flat, fid, epsilon), u
             )
 
             def smoothing(v):
                 return multiclass_energy(
-                    v, lap, no_fidelity, epsilon
-                ) - multiclass_energy(v, no_smoothing, no_fidelity, epsilon)
+                    v, basis, no_fidelity, epsilon
+                ) - multiclass_energy(v, flat, no_fidelity, epsilon)
 
             # the smoothing term is quadratic: its gradient at e_j is
             # column j of its Hessian
@@ -177,7 +184,7 @@ class TestStep:
             assert err <= 1e-8, f"epsilon={epsilon}: step differs by {err:.2e}"
 
     def test_output_rows_on_simplex(self, moons_basis15):
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 30.0
         )
         cfg = GLConfig(n_e=15)
@@ -246,17 +253,17 @@ class TestSegment:
     def test_requires_fidelity_coverage(self, moons_basis15):
         with pytest.raises(ValueError, match="nonempty"):
             gl_segment(moons_basis15, empty_fidelity(3), GLConfig(n_e=15))
-        fid = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
+        fid = FidelitySet(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
         with pytest.raises(ValueError, match="every class"):
             gl_segment(moons_basis15, fid, GLConfig(n_e=15))
         # the convexity bound c >= mu + 1/epsilon is checked against cfg.mu
-        fid = FidelitySet.from_labels(np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 300.0)
+        fid = FidelitySet(np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 300.0)
         with pytest.raises(ValueError, match="mu=300.0 differs from config mu=30.0"):
             gl_segment(moons_basis15, fid, GLConfig(n_e=15, mu=30.0))
 
     def test_blow_up_raises(self, moons_basis15):
         # 1 + c dt overflows to inf, and inf * 0 is NaN
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 1e307
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -265,7 +272,7 @@ class TestSegment:
             gl_segment(moons_basis15, fid, GLConfig(n_e=15, mu=1e307, dt=100.0))
 
     def test_max_iters_reports_non_convergence(self, moons_basis15):
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 30.0
         )
         res = gl_segment(moons_basis15, fid, GLConfig(n_e=15, max_iters=2))
@@ -282,7 +289,7 @@ def _orthonormal_basis(n, n_e, seed):
 
 def _step_setup(n, n_e=40):
     basis = _orthonormal_basis(n, n_e, seed=n)
-    fid = FidelitySet.from_labels(np.array([0, 1, 2]), np.array([0, 1, 2]), 3, 30.0)
+    fid = FidelitySet(np.array([0, 1, 2]), np.array([0, 1, 2]), 3, 30.0)
     cfg = GLConfig(n_e=n_e)
     u = random_label_field(n, fid, seed=0)
     return u, basis, fid, cfg

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from graphseg.cli import main
 from graphseg.data import MoonsSpec, generate_three_moons
 from graphseg.graph import (
     SparseWeightGraph,
@@ -460,6 +461,18 @@ class TestEdgeCache:
         with pytest.raises(ValueError, match="not a graphseg edge cache"):
             load_graph(path)
 
+    @pytest.mark.parametrize("weight", [np.nan, 0.0, -1.0])
+    def test_rejects_weights_that_are_not_finite_and_positive(self, tmp_path, capsys,
+                                                              weight):
+        g = SparseWeightGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, weight]))
+        path = tmp_path / "graph.npz"
+        save_graph(g, path)
+        with pytest.raises(ValueError, match="edge weights must be finite and positive"):
+            load_graph(path)
+        assert main(["eigs", str(path), "--out", str(tmp_path / "eigs.npz"), "--n-e", "2"]) == 2
+        assert "edge weights must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "eigs.npz").exists()
+
 
 def test_weight_spec_validation():
     with pytest.raises(ValueError):
@@ -471,9 +484,3 @@ def test_weight_spec_validation():
     with pytest.raises(ValueError):
         WeightSpec(kind="local_scaling", neighbors=3, m_scale=0)
 
-
-@pytest.mark.parametrize("rows, cols", [([-1, 0], [1, 1]), ([0, 1], [1, 3])])
-def test_validate_rejects_vertices_outside_the_graph(rows, cols):
-    g = SparseWeightGraph(3, np.array(rows), np.array(cols), np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match=r"vertex indices must lie in \[0, n\)"):
-        g.validate()

@@ -38,7 +38,7 @@ class TestDiffusionStep:
         rng = np.random.default_rng(30)
         g = random_connected_graph(rng, 20)
         basis = full_basis(g)
-        fid = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 1]), 2, 30.0)
+        fid = FidelitySet(np.array([0, 1]), np.array([0, 1]), 2, 30.0)
         cfg = MBOConfig(n_e=20, dt=0.0)
         u = rng.uniform(size=(20, 2))
         out = mbo_diffusion_step(u, basis, fid, cfg)
@@ -49,7 +49,7 @@ class TestDiffusionStep:
         g = random_connected_graph(rng, 25)
         lap = normalized_laplacian(g)
         basis = full_basis(g)
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([0, 5, 10]), np.array([0, 1, 2]), 3, 30.0
         )
         cfg = MBOConfig(n_e=25, dt=0.15, n_s=3, mu=30.0)
@@ -70,8 +70,8 @@ class TestDiffusionStep:
         basis = full_basis(g)
         cfg = MBOConfig(n_e=15, mu=0.0)
         u = rng.uniform(size=(15, 2))
-        fid_a = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 1]), 2, 0.0)
-        fid_b = FidelitySet.from_labels(np.array([0, 1]), np.array([1, 0]), 2, 0.0)
+        fid_a = FidelitySet(np.array([0, 1]), np.array([0, 1]), 2, 0.0)
+        fid_b = FidelitySet(np.array([0, 1]), np.array([1, 0]), 2, 0.0)
         assert np.array_equal(
             mbo_diffusion_step(u, basis, fid_a, cfg),
             mbo_diffusion_step(u, basis, fid_b, cfg),
@@ -81,7 +81,7 @@ class TestDiffusionStep:
         rng = np.random.default_rng(33)
         g = random_connected_graph(rng, 12)
         basis = smallest_eigenpairs(normalized_laplacian(g), 4)
-        fid = FidelitySet.from_labels(np.array([0]), np.array([0]), 1, 1.0)
+        fid = FidelitySet(np.array([0]), np.array([0]), 1, 1.0)
         with pytest.raises(ValueError, match="eigenpairs"):
             mbo_diffusion_step(np.zeros((12, 1)), basis, fid, MBOConfig(n_e=5))
 
@@ -123,7 +123,7 @@ class TestSegment:
         )
         n = blobs.labels.size
         basis = smallest_eigenpairs(lap, n)
-        fid = FidelitySet.from_labels(np.arange(n), blobs.labels, 3, mu=50.0)
+        fid = FidelitySet(np.arange(n), blobs.labels, 3, mu=50.0)
         res = mbo_segment(basis, fid, MBOConfig(n_e=n, mu=50.0, dt=0.01))
         assert res.converged
         assert np.array_equal(res.labels, blobs.labels)
@@ -133,14 +133,14 @@ class TestSegment:
             knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
         )
         basis = smallest_eigenpairs(lap, 10)
-        fid = FidelitySet.from_labels(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
+        fid = FidelitySet(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
         res = mbo_segment(basis, fid, MBOConfig(n_e=10, max_iters=1))
         assert not res.converged
         assert res.iterations == 1
 
     def test_blow_up_raises(self, moons_basis20):
         # dt mu overflows in the fidelity forcing of the first sub-step
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 1e306
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -153,7 +153,7 @@ class TestSegment:
             knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
         )
         basis = smallest_eigenpairs(lap, 10)
-        fid = FidelitySet.from_labels(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
+        fid = FidelitySet(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
         with pytest.raises(ValueError, match="dt"):
             mbo_segment(basis, fid, MBOConfig(n_e=10, dt=0.0))
 
@@ -162,13 +162,13 @@ class TestSegment:
             knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
         )
         basis = smallest_eigenpairs(lap, 10)
-        empty = FidelitySet(np.empty(0, dtype=np.int64), np.empty((0, 3)), 30.0)
+        empty = FidelitySet(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 3, 30.0)
         with pytest.raises(ValueError, match="nonempty"):
             mbo_segment(basis, empty, MBOConfig(n_e=10))
-        partial = FidelitySet.from_labels(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
+        partial = FidelitySet(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
         with pytest.raises(ValueError, match="every class"):
             mbo_segment(basis, partial, MBOConfig(n_e=10))
-        labeled = FidelitySet.from_labels(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 5.0)
+        labeled = FidelitySet(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 5.0)
         with pytest.raises(ValueError, match="mu=5.0 differs from config mu=30.0"):
             mbo_segment(basis, labeled, MBOConfig(n_e=10, mu=30.0))
 
@@ -188,7 +188,7 @@ class TestBinaryEquivalence:
 
     def test_full_agreement_with_fidelity(self):
         basis, labels = self.two_class_setup()
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([0, 3, 55, 60]), labels[[0, 3, 55, 60]], 2, 30.0
         )
         report = binary_equivalence_check(basis, fid, MBOConfig(n_e=12, seed=1))
@@ -197,27 +197,27 @@ class TestBinaryEquivalence:
 
     def test_full_agreement_with_zero_mu(self):
         basis, _ = self.two_class_setup(seed=1)
-        fid = FidelitySet.from_labels(np.array([0]), np.array([0]), 2, 0.0)
+        fid = FidelitySet(np.array([0]), np.array([0]), 2, 0.0)
         report = binary_equivalence_check(basis, fid, MBOConfig(n_e=12, mu=0.0, seed=2))
         assert report.agreement == 1.0
 
     def test_two_vertex_single_label(self):
         g = SparseWeightGraph(2, np.array([0]), np.array([1]), np.array([1.0]))
         basis = smallest_eigenpairs(normalized_laplacian(g), 2)
-        fid = FidelitySet.from_labels(np.array([0]), np.array([0]), 2, 30.0)
+        fid = FidelitySet(np.array([0]), np.array([0]), 2, 30.0)
         report = binary_equivalence_check(basis, fid, MBOConfig(n_e=2, seed=0))
         assert report.agreement == 1.0
         assert report.labels_multiclass[0] == 0
 
     def test_rejects_multiclass_fidelity(self):
         basis, labels = self.two_class_setup(seed=2)
-        fid = FidelitySet.from_labels(np.array([0, 55]), np.array([0, 1]), 3, 30.0)
+        fid = FidelitySet(np.array([0, 55]), np.array([0, 1]), 3, 30.0)
         with pytest.raises(ValueError, match="K=2"):
             binary_equivalence_check(basis, fid, MBOConfig(n_e=12))
 
     def test_binary_pipeline_outputs_signs(self):
         basis, labels = self.two_class_setup(seed=3)
-        fid = FidelitySet.from_labels(
+        fid = FidelitySet(
             np.array([0, 55]), labels[[0, 55]], 2, 30.0
         )
         cfg = MBOConfig(n_e=12)

@@ -69,8 +69,6 @@ def cmd_graph(args):
 def cmd_eigs(args):
     from graphseg.spectral import nystrom_eigenpairs, save_basis, smallest_eigenpairs
 
-    if args.n_e < 1:
-        raise ValueError("--n-e must be >= 1")
     if args.nystrom:
         from graphseg.data import load_features_csv
         from graphseg.graph import WeightSpec
@@ -91,11 +89,9 @@ def cmd_eigs(args):
     else:
         from graphseg.graph import load_graph, normalized_laplacian
 
-        kwargs = _read_flags(args, ["tol", "seed"], ["weight", "sigma", "sample"],
+        kwargs = _read_flags(args, ["tol"], ["weight", "sigma", "sample", "seed"],
                              "without --nystrom")
         graph = load_graph(args.input)
-        if args.n_e > graph.n_vertices:
-            raise ValueError("--n-e exceeds the number of vertices")
         basis = smallest_eigenpairs(normalized_laplacian(graph), args.n_e, **kwargs)
     save_basis(basis, args.out)
     print(f"wrote {args.out}: {basis.n_e} eigenpairs ({basis.method})")
@@ -170,13 +166,14 @@ def cmd_segment(args):
 def _load_dataset(args):
     from graphseg import data
 
-    reads = {"csv": ("features", "labels"), "mnist": ("mnist_images", "mnist_labels", "subset")}
-    _read_flags(args, [], [n for d, names in reads.items() if d != args.dataset for n in names],
+    reads = {"moons": ("data_seed",), "csv": ("features", "labels"),
+             "mnist": ("mnist_images", "mnist_labels", "subset", "data_seed")}
+    own = reads[args.dataset]
+    _read_flags(args, [], [n for names in reads.values() for n in names if n not in own],
                 f"with --dataset {args.dataset}")
+    data_seed = args.data_seed or 0
     if args.dataset == "moons":
-        return data.generate_three_moons(
-            data.MoonsSpec(seed=args.data_seed)
-        )
+        return data.generate_three_moons(data.MoonsSpec(seed=data_seed))
     if args.dataset == "csv":
         if not (args.features and args.labels):
             raise ValueError("--dataset csv requires --features and --labels")
@@ -188,7 +185,7 @@ def _load_dataset(args):
         raise ValueError("--dataset mnist requires --mnist-images and --mnist-labels")
     ds = data.load_mnist_idx(args.mnist_images, args.mnist_labels)
     if args.subset:
-        ds = data.stratified_subset(ds, args.subset, args.data_seed)
+        ds = data.stratified_subset(ds, args.subset, data_seed)
     return ds
 
 
@@ -197,15 +194,8 @@ def cmd_bench(args):
 
     spec = _weight_spec(args)
     cfg = _solver_config(args, args.n_e)
-    report = run_benchmark(
-        _load_dataset(args),
-        spec,
-        args.solver,
-        cfg,
-        per_class=args.fidelity_per_class,
-        n_seeds=args.seeds,
-        base_seed=cfg.seed,
-    )
+    report = run_benchmark(_load_dataset(args), spec, cfg,
+                           per_class=args.fidelity_per_class, n_seeds=args.seeds)
     out = args.out
     write_report(report, out + ".json", out + ".timings.json", out + ".txt")
     print(
@@ -261,7 +251,7 @@ def build_parser():
                    help="residual tolerance of the exact solver")
     p.add_argument("--nystrom", action="store_true")
     p.add_argument("--sample", type=int, help="Nystrom landmark count")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="Nystrom landmark seed")
     p.add_argument("--weight", choices=WEIGHT_KINDS,
                    help="Nystrom kernel: gaussian or cosine (required with --nystrom)")
     p.add_argument("--sigma", type=float,
@@ -288,7 +278,8 @@ def build_parser():
     p.add_argument("--mnist-labels")
     p.add_argument("--subset", type=int, default=None,
                    help="stratified subset size for large datasets")
-    p.add_argument("--data-seed", type=int, default=0)
+    p.add_argument("--data-seed", type=int,
+                   help="moons and the mnist --subset only (default 0)")
     _add_weight_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_bench)

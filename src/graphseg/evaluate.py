@@ -15,7 +15,7 @@ import numpy as np
 from graphseg.data import sample_fidelity
 from graphseg.gl import GLConfig, gl_segment
 from graphseg.graph import knn_graph, normalized_laplacian
-from graphseg.mbo import MBOConfig, mbo_segment
+from graphseg.mbo import mbo_segment
 from graphseg.spectral import smallest_eigenpairs
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "run_benchmark",
     "write_report",
 ]
-
-# residual bound of the benchmark's eigenpairs
-_EIG_TOL = 1e-6
 
 
 def accuracy(predicted, truth):
@@ -80,28 +77,26 @@ class BenchmarkReport:
     timings: dict
 
 
-def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, base_seed=0):
+def run_benchmark(dataset, weight_spec, config, per_class, n_seeds=10):
     """Run the full pipeline n_seeds times over a shared graph and spectrum.
 
-    Seed schedule is base_seed + run_index, applied to both fidelity
-    sampling and solver initialization. `config` is a GLConfig or
-    MBOConfig matching `solver` ("gl" or "mbo").
+    `config` is a GLConfig or MBOConfig and chooses the solver. Run i uses
+    seed config.seed + i for both fidelity sampling and solver
+    initialization.
     """
-    if solver not in ("gl", "mbo"):
-        raise ValueError(f"unknown solver {solver!r}")
+    gl = isinstance(config, GLConfig)
     t0 = time.perf_counter()
     lap = normalized_laplacian(knn_graph(dataset.features, weight_spec))
     timings = {"graph": time.perf_counter() - t0}
     t0 = time.perf_counter()
-    basis = smallest_eigenpairs(lap, config.n_e, tol=_EIG_TOL)
+    basis = smallest_eigenpairs(lap, config.n_e)
     timings["eigenvectors"] = time.perf_counter() - t0
 
     seeds, accs, iters, conv, solver_times = [], [], [], [], []
-    for run in range(n_seeds):
-        seed = base_seed + run
+    for seed in range(config.seed, config.seed + n_seeds):
         fidelity = sample_fidelity(dataset, per_class, seed, config.mu)
         cfg = replace(config, seed=seed)
-        result = gl_segment(basis, fidelity, cfg) if solver == "gl" else mbo_segment(basis, fidelity, cfg)
+        result = gl_segment(basis, fidelity, cfg) if gl else mbo_segment(basis, fidelity, cfg)
         seeds.append(seed)
         accs.append(accuracy(result.labels, dataset.labels))
         iters.append(result.iterations)
@@ -109,7 +104,7 @@ def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, b
         solver_times.append(result.wall_time)
     timings["solver"] = solver_times
     return BenchmarkReport(
-        solver=solver,
+        solver="gl" if gl else "mbo",
         seeds=seeds,
         accuracies=accs,
         iterations=iters,
@@ -119,9 +114,9 @@ def run_benchmark(dataset, weight_spec, solver, config, per_class, n_seeds=10, b
     )
 
 
-def write_report(report, results_path, timings_path, table_path=None):
+def write_report(report, results_path, timings_path, table_path):
     """Emit the machine-readable report (deterministic part and timings in
-    separate files) and an optional human-readable table."""
+    separate files) and a human-readable table."""
     payload = asdict(report)
     timings = payload.pop("timings")
     with open(results_path, "w") as f:
@@ -130,15 +125,14 @@ def write_report(report, results_path, timings_path, table_path=None):
     with open(timings_path, "w") as f:
         json.dump(timings, f, indent=2, sort_keys=True)
         f.write("\n")
-    if table_path is not None:
-        lines = [
-            f"solver: {report.solver}",
-            f"mean accuracy: {100.0 * report.mean_accuracy:.2f}%",
-            "seed  accuracy  iterations  converged",
-        ]
-        for s, a, i, c in zip(
-            report.seeds, report.accuracies, report.iterations, report.converged
-        ):
-            lines.append(f"{s:>4}  {100.0 * a:7.2f}%  {i:>10}  {c}")
-        with open(table_path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+    lines = [
+        f"solver: {report.solver}",
+        f"mean accuracy: {100.0 * report.mean_accuracy:.2f}%",
+        "seed  accuracy  iterations  converged",
+    ]
+    for s, a, i, c in zip(
+        report.seeds, report.accuracies, report.iterations, report.converged
+    ):
+        lines.append(f"{s:>4}  {100.0 * a:7.2f}%  {i:>10}  {c}")
+    with open(table_path, "w") as f:
+        f.write("\n".join(lines) + "\n")

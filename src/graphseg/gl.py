@@ -49,12 +49,10 @@ class GLConfig:
                 raise ValueError(f"{name} must be positive")
         if self.c is None:
             object.__setattr__(self, "c", self.mu + 1.0 / self.epsilon)
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not self.c >= self.mu + 1.0 / self.epsilon - 1e-12:
+            raise ValueError("convexity constant must satisfy c >= mu + 1/epsilon")
         if self.n_e < 1 or self.max_iters < 1:
             raise ValueError("n_e and max_iters must be >= 1")
-        if self.c < self.mu + 1.0 / self.epsilon - 1e-12:
-            raise ValueError("convexity constant must satisfy c >= mu + 1/epsilon")
 
 
 def _row_l1_to_vertices(u):

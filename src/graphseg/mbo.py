@@ -38,8 +38,8 @@ class MBOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt < 0:
-            raise ValueError("dt must be nonnegative")
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
         if not (self.mu >= 0 and self.eta > 0):
             raise ValueError("mu must be nonnegative and eta positive")
         if self.n_s < 1 or self.n_e < 1 or self.max_iters < 1:
@@ -74,8 +74,6 @@ def mbo_segment(basis, fidelity, cfg):
     fields, so convergence means no node changes class.
     """
     check_fidelity(fidelity, cfg)
-    if not cfg.dt > 0:
-        raise ValueError("dt must be positive")
     start = time.perf_counter()
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, iterations, converged = iterate(

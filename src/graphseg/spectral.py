@@ -41,13 +41,17 @@ class EigensolverError(FloatingPointError):
 class SpectralBasis:
     """The n_e smallest eigenpairs (ascending) of a normalized Laplacian.
 
-    eigenvectors is N_D x n_e; columns are orthonormal on the exact path
-    and approximately orthonormal on the Nystrom path.
+    eigenvectors is N_D x n_e, held in Fortran order whatever built it, so
+    the solvers' products round alike on every basis; columns are
+    orthonormal on the exact path and approximately so on the Nystrom path.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     method: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "eigenvectors", np.asfortranarray(self.eigenvectors))
 
     @property
     def n_e(self):
@@ -66,13 +70,15 @@ def _fix_signs(vecs):
     return vecs * signs
 
 
-def smallest_eigenpairs(laplacian, n_e, tol=1e-8, seed=0, max_matvecs=None):
+def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
     """Compute the n_e algebraically smallest eigenpairs of L_s = laplacian.matrix.
 
     Runs an implicitly restarted Lanczos iteration on 2I - L_s (largest
     pairs) and maps back, so no shift-invert factorization is needed.
-    Eigenvector signs are fixed so the largest-magnitude entry of each
-    column is positive. Raises EigensolverError on non-convergence.
+    ARPACK runs to full precision from a fixed start vector; tol bounds the
+    residuals of the result. Eigenvector signs are fixed so the
+    largest-magnitude entry of each column is positive. Raises
+    EigensolverError on non-convergence.
     """
     ls = laplacian.matrix
     n = ls.shape[0]
@@ -87,8 +93,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, seed=0, max_matvecs=None):
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:n_e], vecs[:, :n_e]
     else:
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
+        v0 = np.random.default_rng(0).standard_normal(n)
         flipped = 2.0 * sp.identity(n, format="csr") - ls
         if max_matvecs is None:
             max_matvecs = 100 * n_e
@@ -147,8 +152,8 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
     """
     features = check_features(features)
     n = features.shape[0]
-    if not n_e <= sample_size <= n:
-        raise ValueError("need n_e <= sample_size <= N_D")
+    if not 1 <= n_e <= sample_size <= n:
+        raise ValueError("need 1 <= n_e <= sample_size <= N_D")
     if spec.kind == "local_scaling":
         raise ValueError(
             "Nystrom extension supports gaussian and cosine kernels only; "
@@ -222,11 +227,8 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
 
 def save_basis(basis, path):
     """Write the eigencache: eigenvalues, eigenvectors and method."""
-    # .npz keeps the order it is given, and the solvers' products round
-    # differently on eigsh's Fortran-ordered vectors, so store C order
     save_arrays(path, "eigencache", eigenvalues=basis.eigenvalues,
-                eigenvectors=np.ascontiguousarray(basis.eigenvectors),
-                method=np.array(basis.method))
+                eigenvectors=basis.eigenvectors, method=np.array(basis.method))
 
 
 def load_basis(path):

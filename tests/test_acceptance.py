@@ -72,7 +72,7 @@ def test_criterion_1_moons_mbo(moons_dataset, report):
     t0 = time.perf_counter()
     cfg = MBOConfig(n_e=20, dt=0.1, mu=30.0, n_s=3, eta=1e-7, max_iters=100)
     rep = run_benchmark(
-        moons_dataset, MOONS_WEIGHTS, "mbo", cfg, per_class=25, n_seeds=10
+        moons_dataset, MOONS_WEIGHTS, cfg, per_class=25, n_seeds=10
     )
     elapsed = time.perf_counter() - t0
     mean_iters = float(np.mean(rep.iterations))
@@ -91,7 +91,7 @@ def test_criterion_2_moons_gl(moons_dataset, report):
     t0 = time.perf_counter()
     cfg = GLConfig(n_e=15, epsilon=1.0, dt=0.1, mu=30.0, eta=1e-7, max_iters=500)
     rep = run_benchmark(
-        moons_dataset, MOONS_WEIGHTS, "gl", cfg, per_class=25, n_seeds=10
+        moons_dataset, MOONS_WEIGHTS, cfg, per_class=25, n_seeds=10
     )
     elapsed = time.perf_counter() - t0
     ok = rep.mean_accuracy >= 0.96 and elapsed <= 30.0
@@ -176,7 +176,7 @@ def test_criterion_4_mnist_subset(report):
     spec = WeightSpec(kind="local_scaling", neighbors=8, m_scale=8)
     cfg = MBOConfig(n_e=50, dt=0.15, mu=50.0, n_s=3, eta=1e-7, max_iters=100)
     rep = run_benchmark(
-        dataset, spec, "mbo", cfg, per_class=250 / 5000, n_seeds=1
+        dataset, spec, cfg, per_class=250 / 5000, n_seeds=1
     )
     elapsed = time.perf_counter() - t0
     ok = rep.mean_accuracy >= 0.90 and elapsed <= 300.0

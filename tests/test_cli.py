@@ -134,7 +134,7 @@ class TestValidation:
         assert str(out) in capsys.readouterr().err
 
     @pytest.mark.parametrize("source, flags, code, message", [
-        pytest.param("graph", ["--n-e", "0"], 2, "--n-e", id="n-e-zero"),
+        pytest.param("graph", ["--n-e", "0"], 2, "n_e=0", id="n-e-zero"),
         pytest.param("graph", ["--n-e", "10", "--tol", "1e-300"], 3, "exceeds tol",
                      id="tiny-tol"),
         # 10 distinct rows repeated 12 times: the 40 landmarks span rank 10
@@ -222,6 +222,7 @@ class TestValidation:
         pytest.param("bench", ["--dataset", "moons"], "--features", id="bench-moons-features"),
         pytest.param("bench", ["--dataset", "mnist", "--mnist-images", "x", "--mnist-labels",
                                "y"], "--features", id="bench-mnist-features"),
+        pytest.param("bench", ["--data-seed", "7"], "--data-seed", id="bench-csv-data-seed"),
     ])
     def test_flags_the_path_does_not_read(self, tmp_path, blob_files, stage, flags, named,
                                           capsys):
@@ -270,6 +271,7 @@ class TestValidation:
         pytest.param(["--weight", "gaussian"], "--weight", id="exact-weight"),
         pytest.param(["--sigma", "2"], "--sigma", id="exact-sigma"),
         pytest.param(["--sample", "40"], "--sample", id="exact-sample"),
+        pytest.param(["--seed", "3"], "--seed", id="exact-seed"),
     ])
     def test_eigs_flags_the_path_does_not_read(self, tmp_path, blob_files, flags, named,
                                                capsys):
@@ -367,7 +369,7 @@ class TestConfigFile:
                                                                    blob_files):
         argv, out = stage_argv("bench", tmp_path, blob_files)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"subset": 30, "mnist_images": "x"}))
+        config.write_text(json.dumps({"subset": 30, "mnist_images": "x", "data_seed": 7}))
         assert main(["--config", str(config), *argv]) == 0
         assert out.exists()
 

@@ -78,11 +78,9 @@ class TestBenchmark:
         report = run_benchmark(
             blobs,
             self.spec,
-            "mbo",
-            MBOConfig(n_e=10, dt=1.0),
+            MBOConfig(n_e=10, dt=1.0, seed=1),
             per_class=4,
             n_seeds=1,
-            base_seed=1,
         )
         assert report.solver == "mbo"
         assert report.seeds == [1]
@@ -95,16 +93,15 @@ class TestBenchmark:
         kwargs = dict(
             dataset=blobs,
             weight_spec=self.spec,
-            solver="mbo",
             config=MBOConfig(n_e=10, dt=1.0),
             per_class=4,
             n_seeds=3,
-            base_seed=0,
         )
         r1 = run_benchmark(**kwargs)
         r2 = run_benchmark(**kwargs)
         paths = [
-            (tmp_path / f"res{i}.json", tmp_path / f"tim{i}.json") for i in (1, 2)
+            (tmp_path / f"res{i}.json", tmp_path / f"tim{i}.json", tmp_path / f"tab{i}.txt")
+            for i in (1, 2)
         ]
         write_report(r1, *paths[0])
         write_report(r2, *paths[1])
@@ -114,10 +111,6 @@ class TestBenchmark:
         assert data["seeds"] == [0, 1, 2]
         timings = json.loads(paths[0][1].read_text())
         assert len(timings["solver"]) == 3
-
-    def test_unknown_solver_rejected(self, blobs):
-        with pytest.raises(ValueError, match="solver"):
-            run_benchmark(blobs, self.spec, "other", MBOConfig(n_e=5), per_class=2)
 
     def test_table_output(self, blobs, tmp_path):
         report = BenchmarkReport(

@@ -13,7 +13,8 @@ from graphseg.gl import (
 )
 from graphseg.graph import SparseWeightGraph, normalized_laplacian
 from graphseg.simplex import project_rows
-from graphseg.spectral import SpectralBasis, smallest_eigenpairs
+from graphseg.spectral import (SpectralBasis, load_basis, nystrom_eigenpairs, save_basis,
+                                smallest_eigenpairs)
 from oracles import (
     gradient_fd,
     random_connected_graph,
@@ -278,6 +279,25 @@ class TestSegment:
         res = gl_segment(moons_basis15, fid, GLConfig(n_e=15, max_iters=2))
         assert not res.converged
         assert res.iterations == 2
+
+    # eigsh returns Fortran-ordered vectors; a cache that kept them in C order
+    # rounded the solvers' products differently, and no seed's field matched
+    @pytest.mark.parametrize("method", ["exact", "nystrom"])
+    def test_saved_basis_gives_the_same_field(self, moons, moons_basis15, method, tmp_path):
+        from graphseg.data import sample_fidelity
+        from graphseg.graph import WeightSpec
+
+        basis = moons_basis15
+        if method == "nystrom":
+            spec = WeightSpec(kind="gaussian", neighbors=1, sigma=2.0)
+            basis = nystrom_eigenpairs(moons.features, spec, 200, 15)
+        save_basis(basis, tmp_path / "eigs.npz")
+        loaded = load_basis(tmp_path / "eigs.npz")
+        for seed in range(4):
+            fid = sample_fidelity(moons, 25, seed, 30.0)
+            cfg = GLConfig(n_e=15, max_iters=100, seed=seed)
+            in_memory, reloaded = gl_segment(basis, fid, cfg), gl_segment(loaded, fid, cfg)
+            assert in_memory.field.tobytes() == reloaded.field.tobytes()
 
 
 def _orthonormal_basis(n, n_e, seed):

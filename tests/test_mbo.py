@@ -18,12 +18,10 @@ def full_basis(graph):
 
 
 class TestConfig:
-    def test_zero_dt_allowed_at_config_level(self):
-        assert MBOConfig(n_e=5, dt=0.0).dt == 0.0
-
     def test_rejects_bad_parameters(self):
         for kwargs in (
             {"dt": -0.1},
+            {"dt": 0.0},
             {"mu": -1.0},
             {"eta": 0.0},
             {"n_s": 0},
@@ -34,16 +32,6 @@ class TestConfig:
 
 
 class TestDiffusionStep:
-    def test_zero_dt_is_identity_in_full_basis(self):
-        rng = np.random.default_rng(30)
-        g = random_connected_graph(rng, 20)
-        basis = full_basis(g)
-        fid = FidelitySet(np.array([0, 1]), np.array([0, 1]), 2, 30.0)
-        cfg = MBOConfig(n_e=20, dt=0.0)
-        u = rng.uniform(size=(20, 2))
-        out = mbo_diffusion_step(u, basis, fid, cfg)
-        assert np.max(np.abs(out - u)) <= 1e-12
-
     def test_matches_dense_linear_solve(self):
         rng = np.random.default_rng(31)
         g = random_connected_graph(rng, 25)
@@ -147,15 +135,6 @@ class TestSegment:
             FloatingPointError, match="non-finite values in the spectral solve"
         ):
             mbo_segment(moons_basis20, fid, MBOConfig(n_e=20, mu=1e306, dt=10.0))
-
-    def test_zero_dt_rejected_at_run_time(self, blobs):
-        lap = normalized_laplacian(
-            knn_graph(blobs.features, WeightSpec(kind="gaussian", neighbors=8, sigma=1.0))
-        )
-        basis = smallest_eigenpairs(lap, 10)
-        fid = FidelitySet(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 30.0)
-        with pytest.raises(ValueError, match="dt"):
-            mbo_segment(basis, fid, MBOConfig(n_e=10, dt=0.0))
 
     def test_requires_fidelity_coverage(self, blobs):
         lap = normalized_laplacian(

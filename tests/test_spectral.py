@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from graphseg.cache import save_arrays
 from graphseg.data import MoonsSpec, generate_three_moons
 from graphseg.graph import (
     SparseWeightGraph,
@@ -79,8 +80,8 @@ class TestExactSolver:
         assert cos >= 1.0 - 1e-8
 
     def test_deterministic(self, moons_laplacian):
-        b1 = smallest_eigenpairs(moons_laplacian, 6, tol=1e-8, seed=3)
-        b2 = smallest_eigenpairs(moons_laplacian, 6, tol=1e-8, seed=3)
+        b1 = smallest_eigenpairs(moons_laplacian, 6, tol=1e-8)
+        b2 = smallest_eigenpairs(moons_laplacian, 6, tol=1e-8)
         assert np.array_equal(b1.eigenvalues, b2.eigenvalues)
         assert np.array_equal(b1.eigenvectors, b2.eigenvectors)
 
@@ -185,6 +186,8 @@ class TestNystrom:
             nystrom_eigenpairs(feats, spec, sample_size=31, n_e=3)
         with pytest.raises(ValueError):
             nystrom_eigenpairs(feats, spec, sample_size=4, n_e=5)
+        with pytest.raises(ValueError):  # returned a basis of no columns
+            nystrom_eigenpairs(feats, spec, sample_size=20, n_e=0)
 
 
 class TestEigencache:
@@ -210,13 +213,38 @@ class TestEigencache:
         assert sorted(tmp_path.iterdir()) == [second, first]
         assert first.read_bytes() == second.read_bytes()
 
-    def test_eigenvectors_load_c_contiguous(self, tmp_path):
-        vecs = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+    def test_eigenvectors_held_in_fortran_order(self, tmp_path):
+        vecs = np.arange(12.0).reshape(4, 3)  # C order
+        basis = SpectralBasis(np.array([0.0, 0.5, 1.0]), vecs, "exact")
+        assert basis.eigenvectors.flags.f_contiguous
         path = tmp_path / "eigs.txt"
-        save_basis(SpectralBasis(np.array([0.0, 0.5, 1.0]), vecs, "exact"), path)
+        save_basis(basis, path)
+        with np.load(path) as archive:  # npy's fortran_order: no copy on either side
+            assert archive["eigenvectors"].flags.f_contiguous
         loaded = load_basis(path)
-        assert loaded.eigenvectors.flags.c_contiguous
+        assert loaded.eigenvectors.flags.f_contiguous
         assert np.array_equal(loaded.eigenvectors, vecs)
+
+    def test_c_ordered_cache_loads_in_fortran_order(self, tmp_path):
+        vecs = np.arange(12.0).reshape(4, 3)
+        path = tmp_path / "eigs.npz"
+        save_arrays(path, "eigencache", eigenvalues=np.zeros(3), eigenvectors=vecs,
+                    method=np.array("exact"))
+        loaded = load_basis(path)
+        assert loaded.eigenvectors.flags.f_contiguous
+        assert np.array_equal(loaded.eigenvectors, vecs)
+
+    @pytest.mark.parametrize("method", ["dense", "arpack", "nystrom"])
+    def test_every_solver_gives_fortran_order(self, moons_laplacian, method):
+        if method == "dense":
+            basis = smallest_eigenpairs(normalized_laplacian(complete_graph(12)), 5)
+        elif method == "arpack":
+            basis = smallest_eigenpairs(moons_laplacian, 6)
+        else:
+            feats = np.random.default_rng(19).normal(size=(80, 3))
+            spec = WeightSpec(kind="gaussian", neighbors=1, sigma=2.0)
+            basis = nystrom_eigenpairs(feats, spec, sample_size=40, n_e=6)
+        assert basis.eigenvectors.flags.f_contiguous
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.txt"

@@ -50,6 +50,7 @@ COMMANDS = [
     ["eigs", "repeated.csv", "--out", "singular.npz", "--n-e", "5", "--nystrom",
      "--sample", "40", "--weight", "gaussian", "--sigma", "3"],
     ["eigs", "local.npz", "--out", "no-n-e.npz", "--n-e", "0"],
+    ["eigs", "local.npz", "--out", "seeded.npz", *EXACT, "--seed", "3"],
     ["graph", "features.csv", "--out", "dense.npz", "--neighbors", "1500"],
     ["graph", "missing.csv", "--out", "missing.npz"],
     ["segment", "exact.npz", "labels.csv", "--out", "bad.csv", "--solver", "gl",
@@ -57,6 +58,7 @@ COMMANDS = [
     ["segment", "exact.npz", "labels.csv", "--out", "unread.csv", "--epsilon", "7"],
     bench("labels.csv", "few", "--fidelity-per-class", "600"),
     bench("short.csv", "short"),
+    bench("labels.csv", "data-seed", "--data-seed", "7"),
     ["--config", "missing.json", "graph", "features.csv", "--out", "config.npz"],
     ["graph", "features.csv", "--out", "no-such-dir/g.npz"],
     ["graph", "features.csv", "--out", "."],

@@ -12,12 +12,15 @@ replace flags, with explicit flags taking precedence.
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from graphseg.graph import WEIGHT_KINDS
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
+# the BLAS reads its thread count from these when numpy is first imported
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path):
@@ -151,6 +154,7 @@ def cmd_segment(args):
         },
         "iterations": result.iterations,
         "converged": result.converged,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
     }
     if args.solver == "gl":
         manifest["final_energy"] = result.final_energy
@@ -171,6 +175,8 @@ def _load_dataset(args):
     own = reads[args.dataset]
     _read_flags(args, [], [n for names in reads.values() for n in names if n not in own],
                 f"with --dataset {args.dataset}")
+    if args.dataset == "mnist" and args.subset is None:
+        _read_flags(args, [], ["data_seed"], "with --dataset mnist without --subset")
     data_seed = args.data_seed or 0
     if args.dataset == "moons":
         return data.generate_three_moons(data.MoonsSpec(seed=data_seed))

@@ -77,7 +77,9 @@ def check_fidelity(fidelity, cfg):
 
 def random_label_field(n_vertices, fidelity, seed):
     """Initial phase field: uniform(0,1) entries, rows projected to the
-    simplex, fidelity rows overwritten by their one-hot targets."""
+    simplex, fidelity rows overwritten by their one-hot targets. Like every
+    (n, K) field of the solvers it is Fortran-ordered: each class column is
+    contiguous."""
     rng = np.random.default_rng(seed)
     u = project_rows(rng.uniform(size=(n_vertices, fidelity.n_classes)))
     u[fidelity.indices] = fidelity.targets
@@ -85,10 +87,11 @@ def random_label_field(n_vertices, fidelity, seed):
 
 
 def row_sum(x):
-    """np.sum(x, axis=1) of a C-ordered (n, K) array, byte for byte, as
-    operations on whole columns: a reduction along short rows costs about
-    20 ns a row. numpy's order is from +0.0, left to right for K < 8, else
-    8 pairwise accumulators (numpy splits K > 128 first; not matched here)."""
+    """np.sum(x, axis=1) of an (n, K) array, byte for byte, as operations on
+    whole columns, which are contiguous in the solvers' Fortran-ordered
+    fields: a reduction along short rows costs about 20 ns a row. numpy's
+    order on C-ordered rows is from +0.0, left to right for K < 8, else 8
+    pairwise accumulators (numpy splits K > 128 first; not matched here)."""
     cols = [x[:, j] for j in range(x.shape[1])]
     total = np.zeros(x.shape[0])
     if len(cols) >= 8:
@@ -115,14 +118,17 @@ def spectral_solve(basis, n_e, r, shift, scale):
     Solves (shift I + scale L_s) u = r restricted to the span of the
     basis; n_e is the basis size the solver's config expects. Both solvers
     make their new fields here, so a non-finite result raises
-    FloatingPointError for either.
+    FloatingPointError for either. The product is formed as
+    ((w X^T r)^T X^T)^T: it is Fortran-ordered, with the bytes of
+    X (w X^T r).
     """
     if basis.n_e != n_e:
         raise ValueError(f"basis has {basis.n_e} eigenpairs, config expects {n_e}")
     if r.shape[0] != basis.n_vertices:
         raise ValueError("field and basis dimensions do not match")
     weights = 1.0 / (shift + scale * basis.eigenvalues)
-    u = basis.eigenvectors @ (weights[:, None] * (basis.eigenvectors.T @ r))
+    coeffs = weights[:, None] * (basis.eigenvectors.T @ r)
+    u = (coeffs.T @ basis.eigenvectors.T).T
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("non-finite values in the spectral solve")
     return u

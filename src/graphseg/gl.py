@@ -58,7 +58,10 @@ class GLConfig:
 def _row_l1_to_vertices(u):
     """A[i, l] = ||u_i - e_l||_1 for each row i and class l."""
     a = np.abs(u)
-    return row_sum(a)[:, None] - a + np.abs(u - 1.0)
+    to_one = np.abs(np.subtract(u, 1.0), out=np.empty_like(a))
+    a = np.subtract(row_sum(a)[:, None], a, out=a)
+    a += to_one
+    return a
 
 
 def multiclass_energy(u, basis, fidelity, epsilon):
@@ -89,23 +92,28 @@ def well_derivative(u):
     if not np.all(np.isfinite(u)):
         raise ValueError("well_derivative received non-finite entries")
     a = _row_l1_to_vertices(u)
-    q = 0.25 * a**2
+    q = np.multiply(a, a, out=np.empty_like(a))
+    q *= 0.25
+    # g_l = a_l prod_{m != l} q_m, as (suffix q_{l+1} ... q_{K-1}, built right
+    # to left) times (prefix q_0 ... q_{l-1}) times a_l: O(K) column products
     g = np.empty_like(q)
-    prefix = None  # q_0 ... q_{l-1}
+    g[:, -1] = 1.0
+    for l in range(u.shape[1] - 1, 0, -1):
+        np.multiply(g[:, l], q[:, l], out=g[:, l - 1])
+    prefix = np.ones(u.shape[0])
     for l in range(u.shape[1]):
-        # np.prod's order: ascending classes, left to right
-        loo = prefix
-        for m in range(l + 1, u.shape[1]):
-            loo = q[:, m] if loo is None else loo * q[:, m]
-        g[:, l] = a[:, l] if loo is None else a[:, l] * loo
-        prefix = q[:, l] if prefix is None else prefix * q[:, l]
-    return 0.5 * row_sum(g)[:, None] - g
+        g[:, l] *= prefix
+        prefix *= q[:, l]
+    g *= a
+    return np.subtract(0.5 * row_sum(g)[:, None], g, out=g)
 
 
 def gl_step(u, basis, fidelity, cfg):
     """One convex-splitting update followed by row-wise simplex projection."""
     shift = 1.0 + cfg.c * cfg.dt
-    r = shift * u - (cfg.dt / (2.0 * cfg.epsilon)) * well_derivative(u)
+    r = well_derivative(u)
+    r *= cfg.dt / (2.0 * cfg.epsilon)
+    r = np.subtract(shift * u, r, out=r)
     r[fidelity.indices] -= cfg.dt * fidelity.mu * (u[fidelity.indices] - fidelity.targets)
     return project_rows(spectral_solve(basis, cfg.n_e, r, shift, cfg.epsilon * cfg.dt))
 

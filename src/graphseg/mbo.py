@@ -53,7 +53,7 @@ def mbo_diffusion_step(u, basis, fidelity, cfg):
     truncated basis. No projection or thresholding here.
     """
     sub_dt = cfg.dt / cfg.n_s
-    r = u.copy()
+    r = u.copy(order="K")
     r[fidelity.indices] -= sub_dt * fidelity.mu * (u[fidelity.indices] - fidelity.targets)
     return spectral_solve(basis, cfg.n_e, r, 1.0, sub_dt)
 
@@ -64,7 +64,10 @@ def mbo_step(u, basis, fidelity, cfg):
     v = u
     for _ in range(cfg.n_s):
         v = mbo_diffusion_step(v, basis, fidelity, cfg)
-    return np.eye(fidelity.n_classes)[nearest_vertices(project_rows(v))]
+    labels = nearest_vertices(project_rows(v))
+    onehot = np.zeros((labels.size, fidelity.n_classes), order="F")
+    onehot[np.arange(labels.size), labels] = 1.0
+    return onehot
 
 
 def mbo_segment(basis, fidelity, cfg):

@@ -37,8 +37,10 @@ def project_rows(V):
     form's: the network gives np.sort's values, bar the order of a -0.0/+0.0
     tie, which no threshold sees. Inputs are checked first, because
     np.minimum and np.maximum spread a NaN that np.sort would move last.
+    Works on, and returns, a Fortran-ordered array: class columns are
+    contiguous.
     """
-    V = np.asarray(V, dtype=float)
+    V = np.asarray(V, dtype=float, order="F")
     _check_finite(V)
     _, k = V.shape
     s = [V[:, j] for j in range(k)]  # sorted: s[k - 1 - j] is the j-th largest

@@ -323,6 +323,23 @@ def well_derivative_reference(u):
     return 0.5 * np.sum(g, axis=1, keepdims=True) - g
 
 
+def well_derivative_prefix_suffix_reference(u):
+    """well_derivative_reference with each leave-one-out product in the
+    library's order, row-wise: (suffix q_{l+1} ... q_{K-1}, accumulated
+    right to left) times (prefix q_0 ... q_{l-1}, left to right), then
+    times a_l. An empty product is 1.0, which multiplies exactly."""
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("well_derivative received non-finite entries")
+    a = row_l1_to_vertices_reference(u)
+    q = 0.25 * a**2
+    ones = np.ones((u.shape[0], 1))
+    prefix = np.cumprod(np.hstack([ones, q[:, :-1]]), axis=1)
+    suffix = np.cumprod(np.hstack([ones, q[:, :0:-1]]), axis=1)[:, ::-1]
+    g = suffix * prefix * a
+    return 0.5 * np.sum(g, axis=1, keepdims=True) - g
+
+
 def stop_ratio_reference(u_new, u_old):
     """max_i ||u_i^new - u_i^old||^2 / max_i ||u_i^new||^2."""
     num = np.max(np.sum((u_new - u_old) ** 2, axis=1))

@@ -7,7 +7,7 @@ from graphseg.cli import main
 from graphseg.data import save_features_csv, save_labels_csv
 from graphseg.graph import SparseWeightGraph, WeightSpec, load_graph, save_graph
 from graphseg.spectral import SpectralBasis, save_basis
-from oracles import knn_graph_reference
+from oracles import knn_graph_reference, write_idx_images, write_idx_labels
 
 
 @pytest.fixture()
@@ -42,11 +42,21 @@ def stage_argv(stage, tmp_path, blob_files):
     out = tmp_path / "out"
     if stage == "graph":
         return ["graph", str(features), "--out", str(out)], out
+    bench_flags = ["--out", str(out), "--seeds", "1", "--n-e", "10", "--fidelity-per-class",
+                   "4", "--weight", "gaussian", "--neighbors", "8"]
     if stage == "bench":
         return ["bench", "--dataset", "csv", "--features", str(features),
-                "--labels", str(labels), "--out", str(out), "--seeds", "1", "--n-e", "10",
-                "--fidelity-per-class", "4", "--weight", "gaussian", "--neighbors", "8"
-                ], tmp_path / "out.json"
+                "--labels", str(labels), *bench_flags], tmp_path / "out.json"
+    if stage == "bench-mnist":
+        # 120 IDX images, 4 x 4, of three classes that light up different rows
+        classes = np.repeat(np.arange(3), 40)
+        images = np.random.default_rng(2).integers(0, 60, size=(120, 4, 4))
+        images[np.arange(120), classes, :] += 180
+        write_idx_images(images, tmp_path / "images.idx")
+        write_idx_labels(classes, tmp_path / "labels.idx")
+        return ["bench", "--dataset", "mnist", "--mnist-images", str(tmp_path / "images.idx"),
+                "--mnist-labels", str(tmp_path / "labels.idx"), *bench_flags,
+                "--sigma", "3"], tmp_path / "out.json"
     graph, eigs = tmp_path / "graph.txt", tmp_path / "eigs.txt"
     main(["graph", str(features), "--out", str(graph), "--weight", "gaussian", "--neighbors", "8"])
     main(["eigs", str(graph), "--out", str(eigs), "--n-e", "10"])
@@ -68,6 +78,16 @@ class TestPipeline:
         timings = json.loads(open(str(out) + ".timings.json").read())
         assert "solver" in timings
         assert "wrote" in capsys.readouterr().out
+
+    def test_manifest_records_the_blas_thread_variables(self, tmp_path, blob_files,
+                                                       monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        code, out = run_pipeline(tmp_path, blob_files)
+        assert code == 0
+        threads = json.loads(open(str(out) + ".manifest.json").read())["blas_threads"]
+        assert set(threads) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert (threads["OPENBLAS_NUM_THREADS"], threads["MKL_NUM_THREADS"]) == ("3", None)
 
     def test_end_to_end_gl_manifest_has_energy(self, tmp_path, blob_files):
         code, out = run_pipeline(
@@ -223,6 +243,8 @@ class TestValidation:
         pytest.param("bench", ["--dataset", "mnist", "--mnist-images", "x", "--mnist-labels",
                                "y"], "--features", id="bench-mnist-features"),
         pytest.param("bench", ["--data-seed", "7"], "--data-seed", id="bench-csv-data-seed"),
+        pytest.param("bench-mnist", ["--data-seed", "7"], "--data-seed",
+                     id="bench-mnist-data-seed-without-subset"),
     ])
     def test_flags_the_path_does_not_read(self, tmp_path, blob_files, stage, flags, named,
                                           capsys):
@@ -231,6 +253,14 @@ class TestValidation:
         assert main([*argv, *flags]) == 2
         assert f"{named} is not read" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mnist_reads_data_seed_with_subset_only(self, tmp_path, blob_files, capsys):
+        argv, _ = stage_argv("bench-mnist", tmp_path, blob_files)
+        assert main(argv) == 0
+        assert main([*argv, "--subset", "60", "--data-seed", "7"]) == 0
+        capsys.readouterr()
+        assert main([*argv, "--data-seed", "7"]) == 2
+        assert "with --dataset mnist without --subset" in capsys.readouterr().err
 
     def test_cosine_weights_choose_their_metric(self, tmp_path, blobs, blob_files):
         features, _ = blob_files

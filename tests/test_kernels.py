@@ -1,6 +1,10 @@
 """The solver kernels computed on class columns must equal, byte for byte,
 the row-wise kernels they replaced (kept in `oracles`), and so must the
-solver runs built on them."""
+solver runs built on them. The one exception is the order of the
+leave-one-out products in `well_derivative`: it matches a row-wise
+reference in its own prefix x suffix order byte for byte, and the original
+np.prod order within a rounding bound derived below. The solvers' (n, K)
+fields are Fortran-ordered."""
 
 import importlib
 
@@ -11,10 +15,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphseg.data import LabeledDataset, sample_fidelity
-from graphseg.fields import row_sum, stop_ratio
-from graphseg.gl import GLConfig, _row_l1_to_vertices, gl_segment, well_derivative
+from graphseg.fields import random_label_field, row_sum, spectral_solve, stop_ratio
+from graphseg.gl import GLConfig, _row_l1_to_vertices, gl_segment, gl_step, well_derivative
 from graphseg.graph import WeightSpec, knn_graph, normalized_laplacian
-from graphseg.mbo import MBOConfig, mbo_segment
+from graphseg.mbo import MBOConfig, mbo_segment, mbo_step
 from graphseg.simplex import nearest_vertices, project_rows
 from graphseg.spectral import smallest_eigenpairs
 from oracles import (
@@ -23,6 +27,7 @@ from oracles import (
     project_rows_reference,
     row_l1_to_vertices_reference,
     stop_ratio_reference,
+    well_derivative_prefix_suffix_reference,
     well_derivative_reference,
 )
 
@@ -87,7 +92,49 @@ def test_nearest_vertices(V):
 def test_well_derivative(u):
     with np.errstate(all="ignore"):
         assert_same_bytes(_row_l1_to_vertices(u), row_l1_to_vertices_reference(u))
-        assert_same_bytes(well_derivative(u), well_derivative_reference(u))
+        reference = well_derivative_prefix_suffix_reference(u)
+        assert_same_bytes(well_derivative(u), reference)
+        assert_same_bytes(well_derivative(np.asfortranarray(u)), reference)
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def np_prod_order_bound(u):
+    """Entrywise bound on |well_derivative(u) - well_derivative_reference(u)|
+    for rows with entries in [0, 1].
+
+    Both forms share a and q, and multiply the same K - 1 factors q_m into
+    each leave-one-out product, with K - 2 roundings in either order, so
+    each product is its exact value times (1 + theta), |theta| <= gamma(K - 2).
+    g_l = a_l times the product adds one rounding (gamma(K - 1)); the row
+    sum adds at most K - 1 to each term (gamma(2K - 2) in all), halving is
+    exact, and T_k = S/2 - g_k adds one more. Each form is then within
+    gamma(2K - 1) (G/2 + |g_k|) of the exact T_k, where G = sum_l |g_l|; the
+    two differ by at most twice that. gamma(2K) covers G taken from a
+    computed g. Underflow adds at most 2**-1075 to a product, scaled by the
+    factors after it, each at most M = max(1, K^2/4) because a_l <= K.
+    """
+    a = row_l1_to_vertices_reference(u)
+    q = 0.25 * a**2
+    k = u.shape[1]
+    loo = np.stack([np.prod(np.delete(q, l, axis=1), axis=1) for l in range(k)], axis=1)
+    g = np.abs(a * loo)
+    underflow = k**3 * max(1.0, k * k / 4) ** max(k - 2, 0) * 2.0**-1074
+    return 2 * gamma(2 * k) * (0.5 * g.sum(axis=1, keepdims=True) + g) + underflow
+
+
+@given(fields_of(12).map(np.abs).map(lambda u: np.minimum(u, 1.0)))
+@example(ON_VERTICES)
+@example(TIED[:2])
+def test_well_derivative_within_rounding_of_the_np_prod_order(u):
+    diff = np.abs(well_derivative(u) - well_derivative_reference(u))
+    assert np.all(diff <= np_prod_order_bound(u))
 
 
 @given(fields, st.data())
@@ -129,6 +176,12 @@ def mixture_k10():
     return data, basis
 
 
+def _problem(request, problem):
+    if problem == "moons":
+        return request.getfixturevalue("moons"), request.getfixturevalue("moons_basis20")
+    return request.getfixturevalue("mixture_k10")
+
+
 def _solve(solver, basis, fidelity):
     if solver == "gl":
         result = gl_segment(basis, fidelity, GLConfig(n_e=basis.n_e, dt=0.1, max_iters=300))
@@ -139,17 +192,57 @@ def _solve(solver, basis, fidelity):
 @pytest.mark.parametrize("solver", ["gl", "mbo"])
 @pytest.mark.parametrize("problem", ["moons", "mixture_k10"])
 def test_solvers_match_the_reference_kernels(solver, problem, request, monkeypatch):
-    if problem == "moons":
-        data, basis = request.getfixturevalue("moons"), request.getfixturevalue("moons_basis20")
-    else:
-        data, basis = request.getfixturevalue("mixture_k10")
+    data, basis = _problem(request, problem)
     fidelity = sample_fidelity(data, 5, seed=0, mu=30.0)
     new, new_energy = _solve(solver, basis, fidelity)
     for (module, name), reference in REFERENCE_KERNELS.items():
         monkeypatch.setattr(importlib.import_module(module), name, reference)
     ref, ref_energy = _solve(solver, basis, fidelity)
-    assert_same_bytes(new.field, ref.field)
     assert_same_bytes(new.labels, ref.labels)
     assert (new.iterations, new.converged) == (ref.iterations, ref.converged)
     assert new.iterations > 1
+    if (solver, problem) == ("gl", "mixture_k10"):
+        # at K = 10 the leave-one-out products round in another order than
+        # np.prod's, and at this size X^T r rounds differently for the
+        # reference's C-ordered fields than for the library's Fortran-ordered
+        # ones. The whole solve is held to the per-call factor of
+        # np_prod_order_bound, relative to the field's scale (entries in
+        # [0, 1]) and to the energy.
+        tol = 2 * gamma(2 * data.n_classes)
+        assert np.max(np.abs(new.field - ref.field)) <= tol
+        assert abs(new_energy - ref_energy) <= tol * abs(ref_energy)
+        return
+    assert_same_bytes(new.field, ref.field)
     assert np.asarray(new_energy).tobytes() == np.asarray(ref_energy).tobytes()
+
+
+@pytest.mark.parametrize("problem", ["moons", "mixture_k10"])
+def test_solver_fields_are_fortran_ordered(problem, request):
+    data, basis = _problem(request, problem)
+    fidelity = sample_fidelity(data, 5, seed=0, mu=30.0)
+    gl_cfg, mbo_cfg = GLConfig(n_e=basis.n_e, max_iters=3), MBOConfig(n_e=basis.n_e, max_iters=3)
+    u0 = random_label_field(basis.n_vertices, fidelity, seed=0)
+    produced = {
+        "random_label_field": u0,
+        "project_rows": project_rows(np.ascontiguousarray(u0)),
+        "gl_step": gl_step(u0, basis, fidelity, gl_cfg),
+        "mbo_step": mbo_step(u0, basis, fidelity, mbo_cfg),
+        "gl_segment": gl_segment(basis, fidelity, gl_cfg).field,
+        "mbo_segment": mbo_segment(basis, fidelity, mbo_cfg).field,
+    }
+    for name, u in produced.items():
+        assert u.shape == (basis.n_vertices, data.n_classes), name
+        assert u.flags.f_contiguous, name
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("problem", ["moons", "mixture_k10"])
+def test_spectral_solve_has_the_bytes_of_the_direct_product(problem, order, request):
+    data, basis = _problem(request, problem)
+    rng = np.random.default_rng(5)
+    r = np.asarray(rng.uniform(size=(basis.n_vertices, data.n_classes)), order=order)
+    shift, scale = 1.3, 0.2
+    w = 1.0 / (shift + scale * basis.eigenvalues)
+    x = basis.eigenvectors
+    assert_same_bytes(spectral_solve(basis, basis.n_e, r, shift, scale),
+                      x @ (w[:, None] * (x.T @ r)))

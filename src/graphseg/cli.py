@@ -190,8 +190,11 @@ def _load_dataset(args):
     if not (args.mnist_images and args.mnist_labels):
         raise ValueError("--dataset mnist requires --mnist-images and --mnist-labels")
     ds = data.load_mnist_idx(args.mnist_images, args.mnist_labels)
-    if args.subset:
-        ds = data.stratified_subset(ds, args.subset, data_seed)
+    if args.subset is not None:
+        try:
+            ds = data.stratified_subset(ds, args.subset, data_seed)
+        except ValueError as exc:
+            raise ValueError(f"--subset {args.subset}: {exc}") from None
     return ds
 
 
@@ -298,7 +301,8 @@ def _merge_config_file(parser, argv):
     One config may serve every subcommand: the running one takes the keys it
     defines as flags and skips the keys only other subcommands define. A key
     that no subcommand defines is an error. Returns the new argv and the
-    flag names taken from the config.
+    flag names whose value the config gives: those not also given on the
+    command line (every flag that a path may not read defaults to None).
     """
     ns, _ = parser.parse_known_args(argv)
     if not getattr(ns, "config", None):
@@ -318,9 +322,11 @@ def _merge_config_file(parser, argv):
         flag = "--" + key.replace("_", "-")
         if not any(flag in own for own in dests.values()):
             raise ValueError(f"{path}: config key {key!r} is no subcommand's flag")
-        if flag not in dests[ns.command]:
+        dest = dests[ns.command].get(flag)
+        if dest is None:
             continue
-        taken.add(dests[ns.command][flag])
+        if getattr(ns, dest) is None:
+            taken.add(dest)
         if value is True:
             extra.append(flag)
         elif value is not False and value is not None:

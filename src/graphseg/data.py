@@ -188,7 +188,7 @@ def _per_class_counts(dataset, per_class):
             f"requested {counts[small]}"
         )
     if np.any(counts < 1):
-        raise ValueError("fidelity sampling needs at least one sample per class")
+        raise ValueError("sampling needs at least one sample per class")
     return counts
 
 

@@ -1,6 +1,10 @@
 """Shared solver core: fidelity sets and their check, random phase-field
 initialization, the diagonal solve in a truncated eigenbasis, the iteration
-driver with its relative-change stopping criterion, and the result record."""
+driver with its relative-change stopping criterion, and the result record.
+
+The solvers' (n, K) fields are Fortran-ordered, and their row sums are
+numpy's own on that layout: column by column, which at K >= 8 rounds
+differently from numpy's pairwise sum along C-ordered rows."""
 
 from dataclasses import dataclass, field
 
@@ -14,7 +18,6 @@ __all__ = [
     "check_fidelity",
     "random_label_field",
     "spectral_solve",
-    "row_sum",
     "stop_ratio",
     "iterate",
 ]
@@ -86,29 +89,10 @@ def random_label_field(n_vertices, fidelity, seed):
     return u
 
 
-def row_sum(x):
-    """np.sum(x, axis=1) of an (n, K) array, byte for byte, as operations on
-    whole columns, which are contiguous in the solvers' Fortran-ordered
-    fields: a reduction along short rows costs about 20 ns a row. numpy's
-    order on C-ordered rows is from +0.0, left to right for K < 8, else 8
-    pairwise accumulators (numpy splits K > 128 first; not matched here)."""
-    cols = [x[:, j] for j in range(x.shape[1])]
-    total = np.zeros(x.shape[0])
-    if len(cols) >= 8:
-        r = cols[:8]
-        for i in range(8, len(cols) - len(cols) % 8, 8):
-            r = [acc + col for acc, col in zip(r, cols[i : i + 8])]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        cols = cols[len(cols) - len(cols) % 8 :]
-    for col in cols:
-        total += col
-    return total
-
-
 def stop_ratio(u_new, u_old):
     """max_i ||u_i^new - u_i^old||^2 / max_i ||u_i^new||^2."""
-    num = np.max(row_sum((u_new - u_old) ** 2))
-    den = np.max(row_sum(u_new**2))
+    num = np.max(np.sum((u_new - u_old) ** 2, axis=1))
+    den = np.max(np.sum(u_new**2, axis=1))
     return num / den
 
 

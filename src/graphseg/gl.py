@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
-                             row_sum, spectral_solve)
+                             spectral_solve)
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
 from graphseg.simplex import nearest_vertices, project_rows
 
@@ -59,7 +59,7 @@ def _row_l1_to_vertices(u):
     """A[i, l] = ||u_i - e_l||_1 for each row i and class l."""
     a = np.abs(u)
     to_one = np.abs(np.subtract(u, 1.0), out=np.empty_like(a))
-    a = np.subtract(row_sum(a)[:, None], a, out=a)
+    a = np.subtract(np.sum(a, axis=1)[:, None], a, out=a)
     a += to_one
     return a
 
@@ -105,7 +105,7 @@ def well_derivative(u):
         g[:, l] *= prefix
         prefix *= q[:, l]
     g *= a
-    return np.subtract(0.5 * row_sum(g)[:, None], g, out=g)
+    return np.subtract(0.5 * np.sum(g, axis=1)[:, None], g, out=g)
 
 
 def gl_step(u, basis, fidelity, cfg):

@@ -1,9 +1,11 @@
 """Multiclass graph MBO scheme: implicit diffusion with fidelity forcing,
-simplex projection, and nearest-vertex thresholding.
+then thresholding to the nearest simplex vertex.
 
-Each outer iteration runs n_s implicit heat sub-steps (time dt/n_s each),
-projects rows to the Gibbs simplex, and snaps each row to its nearest
-simplex vertex.
+Each outer iteration runs n_s implicit heat sub-steps (time dt/n_s each)
+and moves each node to its largest class. That is the vertex nearest the
+row's projection onto the Gibbs simplex: projection subtracts one threshold
+from the whole row and clamps at 0, which in exact arithmetic keeps the
+largest entry largest.
 """
 
 import time
@@ -14,7 +16,8 @@ import numpy as np
 from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
                              spectral_solve)
 from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
-from graphseg.simplex import nearest_vertices, project_rows
+from graphseg.simplex import nearest_vertices
+from graphseg.simplex import project_rows  # not called here; bench/tracing.py binds it
 
 __all__ = [
     "MBOConfig",
@@ -59,19 +62,19 @@ def mbo_diffusion_step(u, basis, fidelity, cfg):
 
 
 def mbo_step(u, basis, fidelity, cfg):
-    """One outer iteration: n_s diffusion sub-steps, projection of the rows
-    to the simplex, and thresholding of each row to its nearest vertex."""
+    """One outer iteration: n_s diffusion sub-steps, then thresholding of
+    each row to its largest class, as a one-hot row."""
     v = u
     for _ in range(cfg.n_s):
         v = mbo_diffusion_step(v, basis, fidelity, cfg)
-    labels = nearest_vertices(project_rows(v))
+    labels = nearest_vertices(v)
     onehot = np.zeros((labels.size, fidelity.n_classes), order="F")
     onehot[np.arange(labels.size), labels] = 1.0
     return onehot
 
 
 def mbo_segment(basis, fidelity, cfg):
-    """Alternate diffusion sub-steps with projection and thresholding.
+    """Alternate diffusion sub-steps with thresholding.
 
     The stopping criterion is evaluated on the thresholded (vertex-valued)
     fields, so convergence means no node changes class.

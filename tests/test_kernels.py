@@ -1,10 +1,11 @@
 """The solver kernels computed on class columns must equal, byte for byte,
 the row-wise kernels they replaced (kept in `oracles`), and so must the
-solver runs built on them. The one exception is the order of the
-leave-one-out products in `well_derivative`: it matches a row-wise
-reference in its own prefix x suffix order byte for byte, and the original
-np.prod order within a rounding bound derived below. The solvers' (n, K)
-fields are Fortran-ordered."""
+solver runs built on them. The exceptions are two orders of rounding. The
+leave-one-out products in `well_derivative` match a row-wise reference in
+their own prefix x suffix order byte for byte, and the original np.prod
+order within a rounding bound derived below. Row sums are numpy's own, so
+at K >= 8 they round column by column on the solvers' Fortran-ordered
+fields, and pairwise on the references' C-ordered ones."""
 
 import importlib
 
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from graphseg.data import LabeledDataset, sample_fidelity
-from graphseg.fields import random_label_field, row_sum, spectral_solve, stop_ratio
+from graphseg.fields import FidelitySet, random_label_field, spectral_solve, stop_ratio
 from graphseg.gl import GLConfig, _row_l1_to_vertices, gl_segment, gl_step, well_derivative
 from graphseg.graph import WeightSpec, knn_graph, normalized_laplacian
-from graphseg.mbo import MBOConfig, mbo_segment, mbo_step
+from graphseg.mbo import MBOConfig, mbo_diffusion_step, mbo_segment, mbo_step
 from graphseg.simplex import nearest_vertices, project_rows
 from graphseg.spectral import smallest_eigenpairs
 from oracles import (
@@ -62,13 +63,6 @@ def assert_same_bytes(new, ref):
     assert new.tobytes() == ref.tobytes()
 
 
-@given(fields_of(40))
-def test_row_sum_matches_numpy(x):
-    # K up to 40 runs the 8-accumulator blocks more than once
-    with np.errstate(all="ignore"):
-        assert_same_bytes(row_sum(x), np.sum(x, axis=1))
-
-
 @given(fields_of(40))  # K up to 40 runs sorting networks six merge levels deep
 @example(ALL_FALSE)
 @example(ON_VERTICES)
@@ -90,11 +84,14 @@ def test_nearest_vertices(V):
 @example(ON_VERTICES)
 @example(TIED)
 def test_well_derivative(u):
+    # row sums run in the input's layout: at K >= 8 numpy rounds a C-ordered
+    # row pairwise and a Fortran-ordered one column by column
     with np.errstate(all="ignore"):
-        assert_same_bytes(_row_l1_to_vertices(u), row_l1_to_vertices_reference(u))
-        reference = well_derivative_prefix_suffix_reference(u)
-        assert_same_bytes(well_derivative(u), reference)
-        assert_same_bytes(well_derivative(np.asfortranarray(u)), reference)
+        for laid_out in (u, np.asfortranarray(u)):
+            assert_same_bytes(_row_l1_to_vertices(laid_out),
+                              row_l1_to_vertices_reference(laid_out))
+            assert_same_bytes(well_derivative(laid_out),
+                              well_derivative_prefix_suffix_reference(laid_out))
 
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -203,17 +200,48 @@ def test_solvers_match_the_reference_kernels(solver, problem, request, monkeypat
     assert new.iterations > 1
     if (solver, problem) == ("gl", "mixture_k10"):
         # at K = 10 the leave-one-out products round in another order than
-        # np.prod's, and at this size X^T r rounds differently for the
-        # reference's C-ordered fields than for the library's Fortran-ordered
-        # ones. The whole solve is held to the per-call factor of
-        # np_prod_order_bound, relative to the field's scale (entries in
-        # [0, 1]) and to the energy.
+        # np.prod's, and row sums and, at this size, X^T r round differently
+        # for the reference's C-ordered fields than for the library's
+        # Fortran-ordered ones. The whole solve is held to the per-call
+        # factor of np_prod_order_bound, relative to the field's scale
+        # (entries in [0, 1]) and to the energy.
         tol = 2 * gamma(2 * data.n_classes)
         assert np.max(np.abs(new.field - ref.field)) <= tol
         assert abs(new_energy - ref_energy) <= tol * abs(ref_energy)
         return
     assert_same_bytes(new.field, ref.field)
     assert np.asarray(new_energy).tobytes() == np.asarray(ref_energy).tobytes()
+
+
+def _onehot_of_projected(v):
+    """Projection onto the simplex, then snapping to the nearest vertex."""
+    onehot = np.zeros(v.shape)
+    onehot[np.arange(v.shape[0]), nearest_vertices(project_rows(v))] = 1.0
+    return onehot
+
+
+@pytest.mark.parametrize("problem", ["moons", "mixture_k10"])
+def test_mbo_step_snaps_like_the_projected_field(problem, request):
+    data, basis = _problem(request, problem)
+    fidelity = sample_fidelity(data, 5, seed=0, mu=30.0)
+    cfg = MBOConfig(n_e=basis.n_e)
+    u = random_label_field(basis.n_vertices, fidelity, seed=0)
+    for _ in range(3):
+        v = u
+        for _ in range(cfg.n_s):
+            v = mbo_diffusion_step(v, basis, fidelity, cfg)
+        new = mbo_step(u, basis, fidelity, cfg)
+        assert_same_bytes(new, _onehot_of_projected(v))
+        u = new
+
+
+@pytest.mark.parametrize("v", [TIED, ON_VERTICES], ids=["tied", "on-vertices"])
+def test_mbo_step_snaps_tied_and_vertex_rows_like_the_projected_field(v, monkeypatch):
+    n, k = v.shape
+    monkeypatch.setattr("graphseg.mbo.mbo_diffusion_step", lambda u, *_: v)
+    fidelity = FidelitySet(np.arange(k), np.arange(k), k, 30.0)
+    new = mbo_step(np.zeros((n, k)), None, fidelity, MBOConfig(n_e=1, n_s=1))
+    assert_same_bytes(new, _onehot_of_projected(v))
 
 
 @pytest.mark.parametrize("problem", ["moons", "mixture_k10"])

@@ -10,7 +10,7 @@ commands name their files by relative paths, because manifests record input
 paths as given. They build graph caches for the three weight kinds, exact
 and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
 0-3, one all-defaults `segment` run and a `bench` report, then run cases
-that must fail. Files named *.timings.json hold wall times and are skipped.
+that must fail; one of them reads a one-key config file. Files named *.timings.json hold wall times and are skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
 graphseg only.
 """
@@ -56,6 +56,8 @@ COMMANDS = [
     ["segment", "exact.npz", "labels.csv", "--out", "bad.csv", "--solver", "gl",
      "--epsilon", "-1"],
     ["segment", "exact.npz", "labels.csv", "--out", "unread.csv", "--epsilon", "7"],
+    ["--config", "epsilon.json", "segment", "exact.npz", "labels.csv", "--out",
+     "config-unread.csv", "--solver", "mbo", "--epsilon", "7"],
     bench("labels.csv", "few", "--fidelity-per-class", "600"),
     bench("short.csv", "short"),
     bench("labels.csv", "data-seed", "--data-seed", "7"),
@@ -85,6 +87,8 @@ def main():
         save_features_csv(moons.features, os.path.join(work, "features.csv"))
         save_labels_csv(moons.labels, os.path.join(work, "labels.csv"))
         save_labels_csv(moons.labels[:-1], os.path.join(work, "short.csv"))
+        with open(os.path.join(work, "epsilon.json"), "w") as f:
+            f.write('{"epsilon": 2}\n')
         # 10 distinct rows repeated 15 times: the landmark block has rank 10
         save_features_csv(moons.features[:10].repeat(15, axis=0),
                           os.path.join(work, "repeated.csv"))

@@ -26,6 +26,6 @@ from graphseg.data import (
     load_mnist_idx,
     sample_fidelity,
 )
-from graphseg.evaluate import accuracy, confusion, graph_tv, run_benchmark
+from graphseg.evaluate import accuracy, graph_tv, run_benchmark
 
 __version__ = "0.1.0"

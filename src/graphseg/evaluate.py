@@ -1,5 +1,4 @@
-"""Accuracy, confusion matrices, graph total variation, and the multi-seed
-benchmark harness.
+"""Accuracy, graph total variation, and the multi-seed benchmark harness.
 
 The benchmark builds the graph and spectrum once (one-time costs) and runs
 the chosen solver over several fidelity seeds, collecting accuracies,
@@ -20,7 +19,6 @@ from graphseg.spectral import smallest_eigenpairs
 
 __all__ = [
     "accuracy",
-    "confusion",
     "graph_tv",
     "BenchmarkReport",
     "run_benchmark",
@@ -35,20 +33,6 @@ def accuracy(predicted, truth):
     if predicted.shape != truth.shape:
         raise ValueError("predicted and truth label lengths differ")
     return float(np.mean(predicted == truth))
-
-
-def confusion(predicted, truth, n_classes):
-    """K x K count matrix with rows = obtained label, columns = true label."""
-    predicted = np.asarray(predicted, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if predicted.shape != truth.shape:
-        raise ValueError("predicted and truth label lengths differ")
-    for name, arr in (("predicted", predicted), ("truth", truth)):
-        if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
-            raise ValueError(f"{name} labels out of range")
-    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(mat, (predicted, truth), 1)
-    return mat
 
 
 def graph_tv(graph, f):

@@ -28,11 +28,19 @@ __all__ = [
     "load_graph",
 ]
 
-# The GEMM always runs on row blocks of this height: BLAS rounds
-# X[s:s+r] @ X[t:u].T differently for other r, and edges and weights must not
-# depend on it. Column groups at least this wide keep the bytes of a block's
-# whole product; narrower ones need not.
+# The float32 screening tiles are blocks of this many rows against blocks of
+# as many columns, and a batch of fallback rows holds at most its square of
+# full-row keys.
 _BLOCK_ROWS = 512
+
+# Each row keeps this many screening keys beyond the k + 1 that selection
+# needs. A row the certificate turns away costs a full row of exact keys; on
+# both benchmark sweeps at data seeds 1 and 2, 2 spare keys left up to 7
+# such rows of 5000 or 6000, and 3 left none.
+_SPARE_KEYS = 3
+
+# Float64 entries gathered per chunk of exact keys (2 MiB).
+_GATHER_ENTRIES = 2**18
 
 WEIGHT_KINDS = ("gaussian", "local_scaling", "cosine")
 
@@ -129,14 +137,14 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
 
 
 def _nearest(keys, cols, k, squared):
-    """The k nearest of each row's k + 1 smallest keys, and the rows that may tie.
+    """The k nearest of each row's smallest keys, and the rows that may tie.
 
-    `keys` holds the k + 1 smallest keys of each distance row, in any order,
-    and `cols` their columns. The distance is sqrt(key) if `squared`, else
-    the key itself. Returns the columns of the k smallest keys ordered by
-    (distance, column), which are the first k columns of the stable argsort
-    of the full distance row, the distances there, and a mask of the rows
-    for which that is not certain. sqrt is monotone but may map adjacent
+    `keys` holds at least the k + 1 smallest keys of each distance row, in
+    any order, and `cols` their columns. The distance is sqrt(key) if
+    `squared`, else the key itself. Returns the columns of the k smallest
+    keys ordered by (distance, column), which are the first k columns of the
+    stable argsort of the full distance row, the distances there, and a mask
+    of the rows for which that is not certain. sqrt is monotone but may map adjacent
     keys to one root: a key whose root equals that of the k-th smallest key
     kth is at most kth * (1 + 2 eps), rounding to nearest. A row whose
     (k + 1)-th key is at or below the bound kth * (1 + 8 eps) (kth itself
@@ -173,41 +181,167 @@ def unit_rows(features):
     return features / norms[:, None]
 
 
+def _pair_keys(x, sq_norms, rows, cols=None):
+    """Float64 keys of each row i of `rows` against the columns j in its row
+    of `cols`, or against every row of `x` when `cols` is None.
+
+    The key is the squared distance (|x_i|^2 + |x_j|^2) - 2<x_i, x_j>,
+    rounded in that order, given `sq_norms`, and else the cosine distance
+    1 - <x_i, x_j>. Each inner product is np.einsum's over the two rows
+    alone, so the bytes of a key depend on x_i and x_j only, not on the batch
+    it is formed in. Rows are taken in chunks that gather or write at most
+    _GATHER_ENTRIES floats.
+    """
+    width = x.shape[0] if cols is None else cols.shape[1]
+    keys = np.empty((rows.size, width))
+    step = max(1, _GATHER_ENTRIES // (width if cols is None else width * x.shape[1]))
+    for a in range(0, rows.size, step):
+        r, out = rows[a : a + step], keys[a : a + step]
+        if cols is None:
+            c = slice(None)
+            np.einsum("jd,rd->rj", x, x[r], out=out)
+        else:
+            c = cols[a : a + step]
+            np.einsum("rcd,rd->rc", x[c], x[r], out=out)
+        if sq_norms is None:
+            np.subtract(1.0, out, out=out)
+        else:
+            out *= 2.0
+            np.subtract(sq_norms[r, None] + sq_norms[c], out, out=out)
+    return keys
+
+
+def _candidates(x, sq_norms, k):
+    """Screen every pair in float32 and key each row's nearest screens exactly.
+
+    Returns, for each row, the columns of its c = k + 1 + _SPARE_KEYS
+    smallest screening keys (every column when there are at most c, itself
+    included with key inf), their `_pair_keys` (squared distances clamped at
+    0), and whether the row is uncertain: whether a column left out may have
+    a key at or below the (k + 1)-th smallest of those kept.
+
+    The screens are taken from y, the float32 copy of x * 2^-e, where 2^e is
+    the power of two above every |x| entry, so that no screen overflows:
+    (|y_i|^2 + |y_j|^2) - 2<y_i, y_j> for squared distances, -2<y_i, y_j>
+    for cosine ones. Each row keeps its c smallest as the tiles arrive, and
+    every column left out has a screen no smaller than the largest kept.
+    """
+    n, dim = x.shape
+    c = min(k + 1 + _SPARE_KEYS, n)
+    b = _BLOCK_ROWS
+    blocks = [(s, min(s + b, n)) for s in range(0, n, b)]
+    e = int(np.frexp(max(x.max(), -x.min()))[1])
+    y = np.empty(x.shape, dtype=np.float32)
+    norms = np.empty(n)  # |y_i| before the cast, in float64
+    for r0, r1 in blocks:
+        yb = np.ldexp(x[r0:r1], -e)
+        norms[r0:r1] = np.einsum("ij,ij->i", yb, yb)
+        y[r0:r1] = yb
+    np.sqrt(norms, out=norms)
+    y_sq = None if sq_norms is None else np.einsum("ij,ij->i", y, y)
+    gemm = np.empty(min(b, n) ** 2, dtype=np.float32)  # one tile, reused
+
+    def tile(r0, r1, c0, c1):
+        g = gemm[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+        np.matmul(y[r0:r1], y[c0:c1].T, out=g)
+        g *= -2.0
+        if y_sq is not None:
+            g += y_sq[r0:r1, None]
+            g += y_sq[c0:c1]
+        return g
+
+    best_keys = np.full((n, c), np.inf, dtype=np.float32)  # largest kept last
+    best_cols = np.zeros((n, c), dtype=np.intp)
+
+    def retain(rows, cand_keys, cand_cols):
+        part = np.argpartition(cand_keys, c - 1, axis=1)[:, :c]
+        best_keys[rows] = np.take_along_axis(cand_keys, part, axis=1)
+        best_cols[rows] = np.take_along_axis(cand_cols, part, axis=1)
+
+    def offer(g, r0, c0, mirror):
+        """Merge the entries of tile g (rows r0.., columns c0..) that are below
+        their row's largest kept screen; with `mirror`, into the rows c0.. ."""
+        if mirror:
+            hit = g < best_keys[c0 : c0 + g.shape[1], -1]
+        else:
+            hit = g < best_keys[r0 : r0 + g.shape[0], -1, None]
+        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])  # 2-D nonzero is slower
+        if not i.size:
+            return
+        val = g[i, j]
+        if mirror:
+            order = np.argsort(j, kind="stable")
+            row, col, val = c0 + j[order], r0 + i[order], val[order]
+        else:
+            row, col = r0 + i, c0 + j
+        rows, first, count = np.unique(row, return_index=True, return_counts=True)
+        slot = np.repeat(np.arange(rows.size), count)
+        at = c + np.arange(row.size) - first[slot]
+        cand_keys = np.full((rows.size, c + count.max()), np.inf, dtype=np.float32)
+        cand_cols = np.zeros(cand_keys.shape, dtype=np.intp)
+        cand_keys[:, :c] = best_keys[rows]
+        cand_cols[:, :c] = best_cols[rows]
+        cand_keys[slot, at] = val
+        cand_cols[slot, at] = col
+        retain(rows, cand_keys, cand_cols)
+
+    for r0, r1 in blocks:  # seed each row from its own block, then take
+        g = tile(r0, r1, r0, r1)  # every other pair of blocks once
+        g[np.arange(r1 - r0), np.arange(r1 - r0)] = np.inf  # exclude self
+        if g.shape[1] < c:  # fewer columns than kept keys: pad with inf
+            g = np.pad(g, ((0, 0), (0, c - g.shape[1])), constant_values=np.inf)
+        retain(slice(r0, r1), g, np.broadcast_to(r0 + np.arange(g.shape[1]) % (r1 - r0), g.shape))
+    for si, (r0, r1) in enumerate(blocks):
+        for c0, c1 in blocks[si + 1 :]:
+            g = tile(r0, r1, c0, c1)
+            offer(g, r0, c0, False)
+            offer(g, r0, c0, True)
+
+    keys = _pair_keys(x, sq_norms, np.arange(n), best_cols)
+    keys[best_keys == np.inf] = np.inf  # itself, or padding
+    if sq_norms is not None:
+        np.maximum(keys, 0.0, out=keys)
+    # The certificate. Let u = 2^-24, g_m = m u / (1 - m u), a = |y_i| and
+    # M = max_j |y_j| in exact arithmetic; M >= 1/2. The float32 cast moves
+    # |y_i - y_j| by at most u (|y_i| + |y_j|), the GEMM and the squared norms
+    # err by g_D times the products of the norms, and the two additions of
+    # the assembly by g_2 (1 + g_D) (|y_i| + |y_j|)^2, so a screen lies within
+    # g_{D+4} (a + M)^2 of the real 2^-2e |x_i - x_j|^2, or of 2^-2e times
+    # twice the real cosine distance less 2. A float64 key, scaled alike, lies
+    # within (D + 2) 2^-53 (a + M)^2 < u (a + M)^2 of the same value, and one
+    # more u (a + M)^2 >= u / 4 covers float32 underflow and the rounding of
+    # this bound; (D + 2) 2^-1073, scaled, covers float64 underflow. A column
+    # left out thus has a key of at least `floor`.
+    gamma = (dim + 6) * 2.0**-24 / (1 - (dim + 6) * 2.0**-24)
+    low = best_keys[:, -1] - (gamma * (norms + norms.max()) ** 2
+                              + np.ldexp(dim + 2.0, -2 * e - 1072))
+    floor = np.ldexp(low, 2 * e) if sq_norms is not None else 1.0 + np.ldexp(low, 2 * e - 1)
+    uncertain = ~(np.partition(keys, k, axis=1)[:, k] < floor)
+    return best_cols, keys, uncertain
+
+
 def knn_graph(features, spec):
     """Build the union-symmetrized N-nearest-neighbor weight graph.
 
     Vertices i and j are connected iff i is among the N nearest neighbors
     of j or vice versa. Self-edges are excluded; distance ties are broken
-    by lower vertex index, exactly as a stable argsort of each distance
-    row would break them. Each row selects k = max(N, M) neighbors for
-    local scaling and k = N otherwise. Edge weights follow `spec`. Cosine
-    weights rank neighbors by cosine distance, the others by Euclidean
-    distance.
+    by lower vertex index, exactly as a stable argsort of each row of
+    `_pair_keys` would break them. Each row selects k = max(N, M) neighbors
+    for local scaling and k = N otherwise. Edge weights follow `spec`.
+    Cosine weights rank neighbors by cosine distance, the others by
+    Euclidean distance.
 
-    The rows are cut into blocks of 512, and the columns into groups: the
-    same blocks, with a short last block joined to the one before it. Each
-    pair of a row block s and a column group t >= s is multiplied once. Its
-    tile of keys (squared distances, or cosine distances) feeds the rows of
-    s directly and, through the transpose, the rows of t's first block.
-    Each row keeps a running set of its k + 1 smallest keys; a tile entry
-    joins it only when it is below the row's (k + 1)-th key, since an entry
-    equal to that key cannot change the kept keys. Every row is first
-    seeded from the tile of its own block and group, so that the bound is
-    tight before the other tiles arrive. The rows then finish as `_nearest`
-    says, and a row that may tie at the k-th distance is re-selected by a
-    stable sort of its full row, recomputed from the tiles of its block.
-
-    The tiles keep the bytes of the product of each whole 512-row block with
-    all of the features, which BLAS rounds as one (measured with OpenBLAS;
-    the reference tests guard it on each build):
-    - a column group rounds as the same columns of the whole product. A
-      narrow tile, such as the columns of a short last block alone, does not;
-    - a mirrored tile rounds as the receiving block's own product when that
-      block is 512 rows high. It does not when the receiving block is the
-      short last block, so that block takes no mirrored tiles and multiplies
-      its own rows with every column group.
+    A float32 screen of every pair (see `_candidates`) leaves each row a few
+    candidates more than the k + 1 it needs, and the candidates get exact
+    float64 keys one pair at a time. The rows then finish as `_nearest`
+    says. A row that the screen's certificate cannot vouch for, or that may
+    tie at the k-th distance, takes a full row of exact keys and a stable
+    sort instead. The graph thus depends only on the features, not on BLAS
+    blocking or thread count. The temporaries are the float32 copy of the
+    features, a few 512-row tiles, c keys and columns per row, and chunks
+    of a few MiB for the exact keys.
     """
-    features = check_features(features)
+    features = np.ascontiguousarray(check_features(features))
     n = features.shape[0]
     if spec.neighbors >= n:
         raise ValueError(f"neighbors N={spec.neighbors} must be < N_D={n}")
@@ -223,105 +357,20 @@ def knn_graph(features, spec):
     m = spec.m_scale
     k = max(n_nbr, m) if spec.kind == "local_scaling" else n_nbr
     squared = sq_norms is not None
-    b = _BLOCK_ROWS
-    blocks = [(s, min(s + b, n)) for s in range(0, n, b)]
-    starts = list(range(0, max(n - b, 0) + 1, b))
-    groups = list(zip(starts, starts[1:] + [n]))
-    gemm = np.empty(min(b, n) * min(2 * b, n))  # one tile, reused
-    norms = np.empty(gemm.size) if squared else None
-
-    def tile(rows, r0, c0, c1):
-        """Keys of `rows`, a copy of features[r0:r0 + len(rows)], against
-        columns c0:c1; squared distances are not yet clamped at 0."""
-        shape = (rows.shape[0], c1 - c0)
-        g = gemm[: shape[0] * shape[1]].reshape(shape)
-        np.matmul(rows, features[c0:c1].T, out=g)
-        if squared:  # d^2 = (|x_i|^2 + |x_j|^2) - 2 g, rounded in that order
-            g *= 2.0
-            s = norms[: g.size].reshape(shape)
-            s[...] = sq_norms[r0 : r0 + shape[0], None]
-            s += sq_norms[c0:c1]
-            np.subtract(s, g, out=g)
-        else:
-            np.subtract(1.0, g, out=g)
-        return g
-
-    best_keys = np.full((n, k + 1), np.inf)  # each row's k + 1 smallest keys
-    best_cols = np.zeros((n, k + 1), dtype=np.intp)
-
-    def retain(rows, cand_keys, cand_cols):
-        part = np.argpartition(cand_keys, k, axis=1)[:, : k + 1]
-        best_keys[rows] = np.take_along_axis(cand_keys, part, axis=1)
-        best_cols[rows] = np.take_along_axis(cand_cols, part, axis=1)
-
-    def offer(g, r0, c0, mirror):
-        """Merge the entries of tile g (rows r0.., columns c0..) that are below
-        their row's (k + 1)-th key; with `mirror`, into the rows of c0.. ."""
-        if mirror:
-            hit = g < best_keys[c0 : c0 + g.shape[1], k]
-        else:
-            hit = g < best_keys[r0 : r0 + g.shape[0], k, None]
-        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])  # 2-D nonzero is slower
-        if not i.size:
-            return
-        val = g[i, j]
-        if squared:
-            np.maximum(val, 0.0, out=val)
-        if mirror:
-            order = np.argsort(j, kind="stable")
-            row, col, val = c0 + j[order], r0 + i[order], val[order]
-        else:
-            row, col = r0 + i, c0 + j
-        rows, first, count = np.unique(row, return_index=True, return_counts=True)
-        slot = np.repeat(np.arange(rows.size), count)
-        at = k + 1 + np.arange(row.size) - first[slot]
-        cand_keys = np.full((rows.size, k + 1 + count.max()), np.inf)
-        cand_cols = np.zeros(cand_keys.shape, dtype=np.intp)
-        cand_keys[:, : k + 1] = best_keys[rows]
-        cand_cols[:, : k + 1] = best_cols[rows]
-        cand_keys[slot, at] = val
-        cand_cols[slot, at] = col
-        retain(rows, cand_keys, cand_cols)
-
-    # multiply a copy of the rows: for n <= 512 a view would be the whole
-    # matrix, and numpy rounds A @ A.T on its symmetric path
-    for si, (r0, r1) in enumerate(blocks):  # seed from the block's own group
-        c0, c1 = groups[min(si, len(groups) - 1)]
-        g = tile(features[r0:r1].copy(), r0, c0, c1)
-        g[np.arange(r1 - r0), np.arange(r0 - c0, r1 - c0)] = np.inf  # exclude self
-        if g.shape[1] < k + 2:  # fewer columns than kept keys: pad with inf
-            g = np.pad(g, ((0, 0), (0, k + 2 - g.shape[1])), constant_values=np.inf)
-        # a padding column is kept only where inf is, which ties the row
-        retain(slice(r0, r1), g, np.broadcast_to(c0 + np.arange(g.shape[1]), g.shape))
-        if squared:  # clamp at 0 after selecting: it keeps the order
-            np.maximum(best_keys[r0:r1], 0.0, out=best_keys[r0:r1])
-    for si, (r0, r1) in enumerate(blocks):
-        rows = features[r0:r1].copy()
-        if r1 - r0 == b:  # the later groups, whose first blocks take the mirror
-            for c0, c1 in groups[si + 1 :]:
-                g = tile(rows, r0, c0, c1)
-                offer(g, r0, c0, False)
-                offer(g[:, :b], r0, c0, True)
-        else:  # the short last block: every group but its own
-            for c0, c1 in groups[:-1]:
-                offer(tile(rows, r0, c0, c1), r0, c0, False)
-
-    nbr, dist, tied = _nearest(best_keys, best_cols, k, squared)
-    for r0, r1 in blocks:  # rows that may tie take a stable sort of the full row
-        redo = np.flatnonzero(tied[r0:r1])
-        if not redo.size:
-            continue
-        rows = features[r0:r1].copy()
-        full = np.empty((redo.size, n))
-        for c0, c1 in groups:
-            full[:, c0:c1] = tile(rows, r0, c0, c1)[redo]
-        full[np.arange(redo.size), r0 + redo] = np.inf  # exclude self
+    cols, keys, uncertain = _candidates(features, sq_norms, k)
+    nbr, dist, tied = _nearest(keys, cols, k, squared)
+    redo = np.flatnonzero(uncertain | tied)
+    step = max(1, _BLOCK_ROWS**2 // n)
+    for a in range(0, redo.size, step):  # a full row of exact keys, stably sorted
+        rows = redo[a : a + step]
+        full = _pair_keys(features, sq_norms, rows)
+        full[np.arange(rows.size), rows] = np.inf  # exclude self
         if squared:
             np.maximum(full, 0.0, out=full)
             np.sqrt(full, out=full)
         order = np.argsort(full, axis=1, kind="stable")[:, :k]
-        nbr[r0 + redo] = order
-        dist[r0 + redo] = np.take_along_axis(full, order, axis=1)
+        nbr[rows] = order
+        dist[rows] = np.take_along_axis(full, order, axis=1)
 
     tau = None
     if spec.kind == "local_scaling":

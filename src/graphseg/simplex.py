@@ -63,7 +63,18 @@ def project_rows(V):
 
 def nearest_vertices(V):
     """Row-wise nearest simplex vertex indices for an (n, K) array
-    (ties -> lowest index)."""
+    (ties -> lowest index).
+
+    np.argmax's indices, found a class column at a time: a column replaces
+    the running index only where it is strictly larger, which on the
+    solvers' Fortran-ordered fields is faster than np.argmax along rows.
+    """
     V = np.asarray(V, dtype=float)
     _check_finite(V)
-    return np.argmax(V, axis=1)
+    best = V[:, 0].copy()
+    idx = np.zeros(V.shape[0], dtype=np.intp)
+    for l in range(1, V.shape[1]):
+        col = V[:, l]
+        idx = np.where(col > best, l, idx)
+        np.maximum(best, col, out=best)
+    return idx

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code under test: dense eigensolvers,
 grid searches, finite differences, exhaustive enumeration, the original
-full-sort neighbour selection of the k-NN graph with its distance kernel,
-the original row-wise solver kernels, the scalar cosine weight, and the
-scalar +/-1 binary MBO pipeline. The IDX writers and `write_bad_cache`
-build input files for the loaders' tests.
+full-sort neighbour selection of the k-NN graph, on its GEMM distance
+tiles and on per-pair inner products, the original row-wise solver kernels,
+the scalar cosine weight, and the scalar +/-1 binary MBO pipeline. The IDX
+writers and `write_bad_cache` build input files for the loaders' tests, and
+`confusion` tabulates labels for the evaluation tests.
 """
 
 import itertools
@@ -132,6 +133,20 @@ def dense_kernel_laplacian_eigs(features, sigma):
     return vals, vecs
 
 
+def confusion(predicted, truth, n_classes):
+    """K x K count matrix with rows = obtained label, columns = true label."""
+    predicted = np.asarray(predicted, dtype=np.int64)
+    truth = np.asarray(truth, dtype=np.int64)
+    if predicted.shape != truth.shape:
+        raise ValueError("predicted and truth label lengths differ")
+    for name, arr in (("predicted", predicted), ("truth", truth)):
+        if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
+            raise ValueError(f"{name} labels out of range")
+    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(mat, (predicted, truth), 1)
+    return mat
+
+
 def random_connected_graph(rng, n, extra_edges=None):
     """Random connected SparseWeightGraph: a random spanning tree plus
     extra random edges, with uniform(0.1, 2) weights."""
@@ -184,10 +199,34 @@ def _pairwise_block(features, block, metric, sq_norms=None):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# The original knn_graph, kept verbatim but for taking its metric from the
-# weight kind: it selects neighbours with a full stable argsort of every
-# distance row. knn_graph must match it byte for byte.
+def _per_pair_block(features, block, metric, sq_norms=None):
+    """`_pairwise_block` with each inner product formed from its two rows
+    alone: np.einsum of one row against every row, whose bytes do not
+    depend on BLAS blocking or threads."""
+    features = np.ascontiguousarray(features)
+    g = np.array([np.einsum("jd,d->j", features, features[i]) for i in block])
+    if metric == "euclidean":
+        d2 = sq_norms[block][:, None] + sq_norms[None, :] - 2.0 * g
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2)
+    return 1.0 - g
+
+
 def knn_graph_reference(features, spec):
+    """The original knn_graph, whose distances are rows of GEMM tiles."""
+    return _full_sort_knn_graph(features, spec, _pairwise_block)
+
+
+def knn_graph_exact_reference(features, spec):
+    """knn_graph_reference on per-pair inner products: knn_graph must match
+    it byte for byte."""
+    return _full_sort_knn_graph(features, spec, _per_pair_block)
+
+
+# The original knn_graph, kept verbatim but for taking its metric from the
+# weight kind and its distance kernel as an argument: it selects neighbours
+# with a full stable argsort of every distance row.
+def _full_sort_knn_graph(features, spec, distance_block):
     """Build the union-symmetrized N-nearest-neighbor weight graph.
 
     Vertices i and j are connected iff i is among the N nearest neighbors
@@ -223,7 +262,7 @@ def knn_graph_reference(features, spec):
 
     for start in range(0, n, _BLOCK_ROWS):
         block = np.arange(start, min(start + _BLOCK_ROWS, n))
-        dists = _pairwise_block(features, block, metric, sq_norms)
+        dists = distance_block(features, block, metric, sq_norms)
         dists[np.arange(block.size), block] = np.inf  # exclude self
         # stable argsort: ties broken by lower vertex index
         order = np.argsort(dists, axis=1, kind="stable")

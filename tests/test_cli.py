@@ -7,7 +7,7 @@ from graphseg.cli import main
 from graphseg.data import save_features_csv, save_labels_csv
 from graphseg.graph import SparseWeightGraph, WeightSpec, load_graph, save_graph
 from graphseg.spectral import SpectralBasis, save_basis
-from oracles import knn_graph_reference, write_idx_images, write_idx_labels
+from oracles import knn_graph_exact_reference, write_idx_images, write_idx_labels
 
 
 @pytest.fixture()
@@ -272,7 +272,7 @@ class TestValidation:
         spec = WeightSpec(kind="cosine", neighbors=2)
         assert main(["graph", str(features), "--out", str(graph),
                      "--weight", "cosine", "--neighbors", "2"]) == 0
-        got, expected = load_graph(graph), knn_graph_reference(blobs.features, spec)
+        got, expected = load_graph(graph), knn_graph_exact_reference(blobs.features, spec)
         for name in ("rows", "cols", "weights"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
 

@@ -6,14 +6,13 @@ import pytest
 from graphseg.evaluate import (
     BenchmarkReport,
     accuracy,
-    confusion,
     graph_tv,
     run_benchmark,
     write_report,
 )
 from graphseg.graph import SparseWeightGraph, WeightSpec
 from graphseg.mbo import MBOConfig
-from oracles import all_subsets, brute_force_cut, random_connected_graph
+from oracles import all_subsets, brute_force_cut, confusion, random_connected_graph
 
 
 class TestAccuracy:

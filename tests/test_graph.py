@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -7,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import graphseg
 from graphseg.cli import main
 from graphseg.data import MoonsSpec, generate_three_moons
 from graphseg.graph import (
     SparseWeightGraph,
     WeightSpec,
+    _candidates,
     _nearest,
+    _pair_keys,
     gaussian_weight,
     knn_graph,
     load_graph,
@@ -23,6 +29,7 @@ from graphseg.graph import (
 from oracles import (
     BAD_CACHE_CASES,
     cosine_weight,
+    knn_graph_exact_reference,
     knn_graph_reference,
     quadratic_form,
     random_connected_graph,
@@ -34,11 +41,18 @@ def edge_set(graph):
     return set(zip(graph.rows.tolist(), graph.cols.tolist()))
 
 
-def assert_matches_reference(features, spec):
-    """knn_graph gives the full-sort reference's graph byte for byte, or
-    raises a ValueError with the same message."""
+def assert_matches_reference(features, spec, gemm="edges"):
+    """knn_graph gives the per-pair full-sort reference's graph byte for byte,
+    or raises a ValueError with the same message.
+
+    Against the GEMM-tile reference, `gemm` asks for "bytes", for "edges"
+    (identical edges, and weights within `gemm_weight_bound`), or for None:
+    cosine distances of integer features tie wherever two features are
+    parallel, and GEMM tiles and per-pair products round those ties apart
+    differently.
+    """
     try:
-        expected = knn_graph_reference(features, spec)
+        expected = knn_graph_exact_reference(features, spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
             knn_graph(features, spec)
@@ -50,6 +64,58 @@ def assert_matches_reference(features, spec):
         a, b = getattr(got, name), getattr(expected, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    if gemm is None:
+        return
+    tiles = knn_graph_reference(features, spec)
+    for name in ("rows", "cols") if gemm == "edges" else ("rows", "cols", "weights"):
+        assert getattr(got, name).tobytes() == getattr(tiles, name).tobytes(), name
+    rel = np.abs(got.weights - tiles.weights) / tiles.weights
+    assert np.all(rel <= gemm_weight_bound(features, spec, tiles))
+
+
+def gemm_weight_bound(features, spec, graph):
+    """Per edge, the largest relative weight change that rounding allows
+    between the GEMM-tile keys of knn_graph_reference and per-pair keys.
+
+    With u = 2^-53 and g_m = m u / (1 - m u), either float64 key of a pair,
+    (|x_i|^2 + |x_j|^2) - 2<x_i, x_j> or 1 - <x_i, x_j> on unit rows, errs
+    by g_D |x_i| |x_j| in the inner product, g_D |x|^2 in a squared norm and
+    two roundings at most, so it lies within g_{D+2} (|x_i| + |x_j|)^2 of the
+    real value, whatever the order of the sums: the two keys differ by
+    a_ij = 2 g_{D+2} (|x_i| + |x_j|)^2 at most. A local scale tau_i is the
+    key of a neighbour j with |x_j| <= |x_i| + sqrt(tau_i), so it moves by
+    a_i = 2 g_{D+2} (2|x_i| + sqrt(tau_i))^2. The exponent e = d^2 / c, with
+    c = sigma^2 or sqrt(tau_i tau_j), then moves by a_ij / c + e (a_i / tau_i
+    + a_j / tau_j) / 2 to first order, taken 1.001 times for the second order
+    (every a / tau is checked below 2e-6), and by 24 u e for the square roots,
+    squares, products and quotients each side rounds; exp rounds 4 u each
+    side. A cosine weight 1 - d moves by a_ij plus 2 u per side.
+    """
+    x = np.asarray(features, dtype=float)
+    if spec.kind == "cosine":
+        x = x / np.linalg.norm(x, axis=1)[:, None]
+    m = x.shape[1] + 2
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    norm = np.linalg.norm(x, axis=1)
+    i, j, w = graph.rows, graph.cols, graph.weights
+    a_ij = 2 * gamma * (norm[i] + norm[j]) ** 2
+    u = 2.0**-53
+    if spec.kind == "cosine":
+        return (a_ij + 4 * u) / w
+    e = -np.log(w)
+    if spec.kind == "gaussian":
+        first = a_ij / spec.sigma**2
+    else:
+        with np.errstate(all="ignore"):
+            sq = np.einsum("ij,ij->i", x, x)
+            d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+        np.fill_diagonal(d2, np.inf)
+        tau = np.sort(d2, axis=1)[:, spec.m_scale - 1]
+        a = 2 * gamma * (2 * norm + np.sqrt(tau)) ** 2
+        share = a[i] / tau[i] + a[j] / tau[j]
+        assert np.all(share <= 2e-6)
+        first = a_ij / np.sqrt(tau[i] * tau[j]) + e * share / 2
+    return np.expm1(1.001 * first + 24 * u * e) + 8 * u
 
 
 class TestWeightFunctions:
@@ -158,7 +224,7 @@ class TestKnnGraph:
             weights2[(a, b)] = w
         assert set(weights2) == edge_set(g1)
         for i, j, w in zip(g1.rows, g1.cols, g1.weights):
-            assert weights2[(i, j)] == pytest.approx(w, abs=1e-12)
+            assert weights2[(i, j)] == w  # keys depend on the pair alone
 
 
 class TestMatchesFullSortReference:
@@ -184,7 +250,8 @@ class TestMatchesFullSortReference:
             m_range = (1, neighbors) if case == "m_below_n" else (neighbors + 1, n - 1)
             m_scale = data.draw(st.integers(*m_range), label="m_scale")
             spec = WeightSpec(kind="local_scaling", neighbors=neighbors, m_scale=m_scale)
-        assert_matches_reference(feats, spec)
+        # squared distances of integer features are exact in any order
+        assert_matches_reference(feats, spec, gemm=None if case == "cosine" else "bytes")
 
     def test_moons(self, moons):
         spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
@@ -203,7 +270,7 @@ class TestMatchesFullSortReference:
         # than the three selected, so its row takes the full-sort branch
         d = np.linalg.norm(feats - feats[55], axis=1)
         assert np.count_nonzero(d == 1.0) == 4
-        assert_matches_reference(feats, spec)
+        assert_matches_reference(feats, spec, gemm="bytes")
 
     def test_overflowing_distances(self):
         # finite features whose squared norms overflow give inf and NaN
@@ -217,9 +284,8 @@ class TestMatchesFullSortReference:
 
     # normal features give distances that integer features cannot: n = 300
     # is one block holding the whole matrix, n = 1024 is two whole blocks,
-    # n = 1100 has a short last block of 76 rows, whose narrow column tiles
-    # BLAS rounds differently, and n = 1500 at D = 100 a short last block of
-    # 476 rows, which a mirrored tile does not round as its own product
+    # n = 1100 has a short last block of 76 rows, and n = 1500 at D = 100 a
+    # short last block of 476 rows
     @pytest.mark.parametrize("n, dim", [
         pytest.param(300, 5, id="300"),
         pytest.param(1100, 5, id="1100"),
@@ -250,7 +316,7 @@ class TestMatchesFullSortReference:
         # fall back to their full rows in every block
         grid = np.array([(x, y) for x in range(1, 41) for y in range(1, 41)], dtype=float)
         feats = grid[np.random.default_rng(9).permutation(len(grid))]
-        assert_matches_reference(feats, spec)
+        assert_matches_reference(feats, spec, gemm=None if spec.kind == "cosine" else "bytes")
 
     def test_duplicate_rows_across_blocks(self):
         # a duplicate pair across blocks 0 and 2, and a triple across blocks
@@ -264,6 +330,70 @@ class TestMatchesFullSortReference:
         # and give a zero local scale, which must name the lowest such vertex
         assert_matches_reference(
             feats, WeightSpec(kind="local_scaling", neighbors=5, m_scale=1))
+
+    def test_planted_near_tie_takes_the_fallback(self):
+        # vertex 0 has twelve neighbours on a sphere whose squared radii
+        # differ by 1e-9 relatively: float64 keys order them, float32 screens
+        # cannot, so the certificate must turn the row away from its
+        # candidates, and its full row must give the stable sort's choice
+        rng = np.random.default_rng(11)
+        feats = rng.normal(size=(300, 5)) * 10
+        v = rng.normal(size=(12, 5))
+        radius = 0.5 * np.sqrt(1.0 + 1e-9 * np.arange(12)[::-1])
+        feats = np.vstack([feats, feats[0] + v * (radius / np.linalg.norm(v, axis=1))[:, None]])
+        sq_norms = np.einsum("ij,ij->i", feats, feats)
+        planted = _pair_keys(feats, sq_norms, np.array([0]), np.arange(300, 312)[None, :])[0]
+        assert np.all(np.diff(planted) < 0)
+        assert planted.max() - planted.min() < 2.0**-24 * planted.min()
+        _, _, uncertain = _candidates(feats, sq_norms, 3)
+        assert uncertain[0]
+        assert_matches_reference(feats, WeightSpec(kind="gaussian", neighbors=3, sigma=1.0))
+
+
+@pytest.mark.parametrize("kind", ["squared", "cosine"])
+@pytest.mark.parametrize("dim", [1, 3, 8, 100, 784])
+def test_pair_keys_do_not_depend_on_the_batch(kind, dim):
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(60, dim))
+    if kind == "cosine":
+        x /= np.linalg.norm(x, axis=1)[:, None]
+    sq_norms = np.einsum("ij,ij->i", x, x) if kind == "squared" else None
+    rows = rng.permutation(60)[:20]
+    cols = rng.integers(0, 60, size=(20, 9))
+    batch = _pair_keys(x, sq_norms, rows, cols)
+    full = _pair_keys(x, sq_norms, rows)
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols[a]):
+            one = _pair_keys(x, sq_norms, np.array([i]), np.array([[j]]))[0, 0]
+            assert one.tobytes() == batch[a, b].tobytes() == full[a, j].tobytes()
+    # and the pair's key is the same from either end
+    swapped = _pair_keys(x, sq_norms, cols[:, 0], rows[:, None])[:, 0]
+    assert swapped.tobytes() == batch[:, 0].tobytes()
+
+
+_GRAPH_DIGEST = """
+import hashlib, sys
+import numpy as np
+from graphseg.graph import WeightSpec, knn_graph
+n, dim = int(sys.argv[1]), int(sys.argv[2])
+g = knn_graph(np.random.default_rng(n).normal(size=(n, dim)),
+              WeightSpec(kind="local_scaling", neighbors=7, m_scale=12))
+print(hashlib.sha256(g.rows.tobytes() + g.cols.tobytes() + g.weights.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("n, dim", [(1500, 100), (1500, 784)])
+def test_graph_bytes_do_not_depend_on_blas_threads(n, dim):
+    src = os.path.dirname(os.path.dirname(graphseg.__file__))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _GRAPH_DIGEST, str(n), str(dim)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
 
 
 def _nearby(x, steps):
@@ -345,11 +475,22 @@ class TestNearestSelector:
         assert not self.check(keys, 2, False).any()
 
 
-@pytest.mark.parametrize("per_class, limit_mib", [(1000, 24), (2000, 40)])
+@pytest.mark.parametrize("per_class, limit_mib", [
+    (1000, 24),
+    (2000, 40),
+    # normal features, N = 5000, D = 784: the float32 copy of the features is
+    # 15.7 MB, and the tiles, the kept keys and the chunked gathers of the
+    # exact keys take a few MiB each
+    pytest.param(None, 32, id="normal-5000x784-32"),
+])
 def test_knn_graph_transient_memory(per_class, limit_mib):
-    # the distance tiles are built in reused buffers, and only k + 1 keys per
-    # row are kept; tracemalloc sees numpy's buffers
-    feats = generate_three_moons(MoonsSpec(points_per_class=per_class, seed=0)).features
+    # the float32 tiles are built in one reused buffer, only c keys per row
+    # are kept, and exact keys are formed in chunks; tracemalloc sees numpy's
+    # buffers
+    if per_class is None:
+        feats = np.random.default_rng(5000).normal(size=(5000, 784))
+    else:
+        feats = generate_three_moons(MoonsSpec(points_per_class=per_class, seed=0)).features
     spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
     tracemalloc.start()
     try:

@@ -290,7 +290,8 @@ def _candidates(x, sq_norms, k):
         g[np.arange(r1 - r0), np.arange(r1 - r0)] = np.inf  # exclude self
         if g.shape[1] < c:  # fewer columns than kept keys: pad with inf
             g = np.pad(g, ((0, 0), (0, c - g.shape[1])), constant_values=np.inf)
-        retain(slice(r0, r1), g, np.broadcast_to(r0 + np.arange(g.shape[1]) % (r1 - r0), g.shape))
+        cols = r0 + np.arange(g.shape[1]) % (r1 - r0)  # padding repeats columns
+        retain(slice(r0, r1), g, np.broadcast_to(cols, g.shape))
     for si, (r0, r1) in enumerate(blocks):
         for c0, c1 in blocks[si + 1 :]:
             g = tile(r0, r1, c0, c1)
@@ -315,7 +316,8 @@ def _candidates(x, sq_norms, k):
     gamma = (dim + 6) * 2.0**-24 / (1 - (dim + 6) * 2.0**-24)
     low = best_keys[:, -1] - (gamma * (norms + norms.max()) ** 2
                               + np.ldexp(dim + 2.0, -2 * e - 1072))
-    floor = np.ldexp(low, 2 * e) if sq_norms is not None else 1.0 + np.ldexp(low, 2 * e - 1)
+    floor = (np.ldexp(low, 2 * e) if sq_norms is not None
+             else 1.0 + np.ldexp(low, 2 * e - 1))
     uncertain = ~(np.partition(keys, k, axis=1)[:, k] < floor)
     return best_cols, keys, uncertain
 

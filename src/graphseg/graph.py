@@ -189,12 +189,12 @@ def _pair_keys(x, sq_norms, rows, cols=None):
     rounded in that order, given `sq_norms`, and else the cosine distance
     1 - <x_i, x_j>. Each inner product is np.einsum's over the two rows
     alone, so the bytes of a key depend on x_i and x_j only, not on the batch
-    it is formed in. Rows are taken in chunks that gather or write at most
-    _GATHER_ENTRIES floats.
+    it is formed in. With `cols`, rows are taken in chunks that gather at
+    most _GATHER_ENTRIES floats; full rows come in batches from the caller.
     """
     width = x.shape[0] if cols is None else cols.shape[1]
     keys = np.empty((rows.size, width))
-    step = max(1, _GATHER_ENTRIES // (width if cols is None else width * x.shape[1]))
+    step = max(1, rows.size if cols is None else _GATHER_ENTRIES // (width * x.shape[1]))
     for a in range(0, rows.size, step):
         r, out = rows[a : a + step], keys[a : a + step]
         if cols is None:

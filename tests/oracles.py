@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code under test: dense eigensolvers,
 grid searches, finite differences, exhaustive enumeration, the original
 full-sort neighbour selection of the k-NN graph, on its GEMM distance
-tiles and on per-pair inner products, the original row-wise solver kernels,
+tiles and on per-pair inner products, exact integer comparison of cosines,
+the original row-wise solver kernels,
 the scalar cosine weight, and the scalar +/-1 binary MBO pipeline. The IDX
 writers and `write_bad_cache` build input files for the loaders' tests, and
 `confusion` tabulates labels for the evaluation tests.
@@ -221,6 +222,36 @@ def knn_graph_exact_reference(features, spec):
     """knn_graph_reference on per-pair inner products: knn_graph must match
     it byte for byte."""
     return _full_sort_knn_graph(features, spec, _per_pair_block)
+
+
+def cosine_cutoff_ties(features, k):
+    """For integer features, the n x n mask of the pairs (i, j), j != i,
+    whose cosine distance equals in exact arithmetic the k-th smallest
+    cosine distance from i: the columns among which a stable sort of
+    rounded distances may choose at row i's cut-off.
+
+    With p_ij = <x_i, x_j> and a_j = |x_j|^2, the cosine from i to j is
+    above that to l iff p_ij |p_ij| a_l > p_il |p_il| a_j, in integers.
+    Rows are ordered by the rounded quotients first, and that order is
+    checked to be exact up to ties.
+    """
+    x = np.asarray(features)
+    xi = x.astype(np.int64)
+    assert np.array_equal(xi, x)
+    n = len(xi)
+    p = xi @ xi.T
+    a = np.diag(p).copy()
+    s = p * np.abs(p)
+    key = -s / a
+    np.fill_diagonal(key, np.inf)  # itself last
+    order = np.argsort(key, axis=1, kind="stable")[:, : n - 1]
+    rows = np.arange(n)[:, None]
+    so, ao = s[rows, order], a[order]
+    assert np.all(so[:, :-1] * ao[:, 1:] >= so[:, 1:] * ao[:, :-1])
+    kth = order[:, k - 1]
+    ties = s * a[kth][:, None] == s[rows, kth[:, None]] * a
+    np.fill_diagonal(ties, False)
+    return ties
 
 
 # The original knn_graph, kept verbatim but for taking its metric from the

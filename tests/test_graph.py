@@ -28,6 +28,7 @@ from graphseg.graph import (
 )
 from oracles import (
     BAD_CACHE_CASES,
+    cosine_cutoff_ties,
     cosine_weight,
     knn_graph_exact_reference,
     knn_graph_reference,
@@ -45,11 +46,12 @@ def assert_matches_reference(features, spec, gemm="edges"):
     """knn_graph gives the per-pair full-sort reference's graph byte for byte,
     or raises a ValueError with the same message.
 
-    Against the GEMM-tile reference, `gemm` asks for "bytes", for "edges"
-    (identical edges, and weights within `gemm_weight_bound`), or for None:
-    cosine distances of integer features tie wherever two features are
-    parallel, and GEMM tiles and per-pair products round those ties apart
-    differently.
+    Against the GEMM-tile reference, `gemm` asks for "bytes", or for "edges":
+    identical edges, and the weights of the edges within `gemm_weight_bound`.
+    With "ties", for cosine distances of integer features, the edges may
+    differ only at an exact tie at the cut-off (`cosine_cutoff_ties`):
+    parallel features tie in exact arithmetic, and GEMM tiles and per-pair
+    products round those ties apart differently.
     """
     try:
         expected = knn_graph_exact_reference(features, spec)
@@ -64,13 +66,20 @@ def assert_matches_reference(features, spec, gemm="edges"):
         a, b = getattr(got, name), getattr(expected, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    if gemm is None:
-        return
     tiles = knn_graph_reference(features, spec)
-    for name in ("rows", "cols") if gemm == "edges" else ("rows", "cols", "weights"):
-        assert getattr(got, name).tobytes() == getattr(tiles, name).tobytes(), name
-    rel = np.abs(got.weights - tiles.weights) / tiles.weights
-    assert np.all(rel <= gemm_weight_bound(features, spec, tiles))
+    if gemm == "ties":
+        n = got.n_vertices
+        edge_got, edge_tiles = got.rows * n + got.cols, tiles.rows * n + tiles.cols
+        i, j = np.divmod(np.setxor1d(edge_got, edge_tiles), n)
+        ties = cosine_cutoff_ties(features, spec.neighbors)
+        assert np.all(ties[i, j] | ties[j, i])
+        _, at_got, at_tiles = np.intersect1d(edge_got, edge_tiles, return_indices=True)
+    else:
+        for name in ("rows", "cols") if gemm == "edges" else ("rows", "cols", "weights"):
+            assert getattr(got, name).tobytes() == getattr(tiles, name).tobytes(), name
+        at_got = at_tiles = slice(None)
+    rel = np.abs(got.weights[at_got] - tiles.weights[at_tiles]) / tiles.weights[at_tiles]
+    assert np.all(rel <= gemm_weight_bound(features, spec, tiles)[at_tiles])
 
 
 def gemm_weight_bound(features, spec, graph):
@@ -251,7 +260,7 @@ class TestMatchesFullSortReference:
             m_scale = data.draw(st.integers(*m_range), label="m_scale")
             spec = WeightSpec(kind="local_scaling", neighbors=neighbors, m_scale=m_scale)
         # squared distances of integer features are exact in any order
-        assert_matches_reference(feats, spec, gemm=None if case == "cosine" else "bytes")
+        assert_matches_reference(feats, spec, gemm="ties" if case == "cosine" else "bytes")
 
     def test_moons(self, moons):
         spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
@@ -316,7 +325,7 @@ class TestMatchesFullSortReference:
         # fall back to their full rows in every block
         grid = np.array([(x, y) for x in range(1, 41) for y in range(1, 41)], dtype=float)
         feats = grid[np.random.default_rng(9).permutation(len(grid))]
-        assert_matches_reference(feats, spec, gemm=None if spec.kind == "cosine" else "bytes")
+        assert_matches_reference(feats, spec, gemm="ties" if spec.kind == "cosine" else "bytes")
 
     def test_duplicate_rows_across_blocks(self):
         # a duplicate pair across blocks 0 and 2, and a triple across blocks

@@ -1,7 +1,8 @@
 """Truncated spectral decomposition of the symmetric normalized Laplacian.
 
 Two routes: an exact iterative sparse eigensolver (Lanczos-type, applied
-to 2I - L_s so the target pairs are extremal), and the Nystrom extension
+to 2I - L_s or to a Chebyshev filter of L_s so the target pairs are
+extremal), and the Nystrom extension
 approximating the eigenpairs of the normalized Laplacian of the fully
 connected kernel matrix from a random landmark subset.
 """
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components
 
 from graphseg.cache import load_arrays, save_arrays
 from graphseg.graph import check_features, unit_rows
@@ -70,15 +73,91 @@ def _fix_signs(vecs):
     return vecs * signs
 
 
+# Filtered Lanczos pays where ARPACK's re-orthogonalization of a step,
+# n * ncv multiply-adds, costs this many sparse products of L_s or more.
+_ORTH_PER_MATVEC = 4
+# Degree of the Chebyshev filter: products of L_s per Lanczos step.
+_FILTER_DEGREE = 4
+# A Lanczos step this short (||L_s|| <= 2) means the Krylov space is invariant.
+_BREAKDOWN = 1e-10
+
+
+def _ritz_bound(ls, v0, ncv, n_e):
+    """The n_e-th smallest Ritz value of ls on the ncv-step Krylov space of
+    v0, built with full re-orthogonalization, or None if that space became
+    invariant. By Poincare separation it is at least lambda_{n_e}."""
+    q = np.zeros((ncv, ls.shape[0]))
+    alpha, beta = np.empty(ncv), np.empty(ncv - 1)
+    q[0] = v0 / np.linalg.norm(v0)
+    for j in range(ncv):
+        w = ls @ q[j]
+        alpha[j] = q[j] @ w
+        if j + 1 == ncv:
+            break
+        w -= alpha[j] * q[j]
+        if j:
+            w -= beta[j - 1] * q[j - 1]
+        w -= q[: j + 1].T @ (q[: j + 1] @ w)  # the full re-orthogonalization
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= _BREAKDOWN:
+            return None
+        q[j + 1] = w / beta[j]
+    return eigh_tridiagonal(alpha, beta, eigvals_only=True,
+                            select="i", select_range=(n_e - 1, n_e - 1))[0]
+
+
+def _chebyshev_filter(ls, a):
+    """T_m(X) for X = (cI - L_s)/e and the fixed degree m, with [a, 2]
+    mapped onto [-1, 1]: eigenvalues of L_s below a come out above 1, the
+    rest within [-1, 1]. Each of the m products is one with 2X, a matrix of
+    L_s's pattern."""
+    c, e = (2.0 + a) / 2.0, (2.0 - a) / 2.0
+    x2 = ((2.0 / e) * (c * sp.identity(ls.shape[0], format="csr") - ls)).tocsr()
+
+    def apply(v):
+        prev, cur = v, 0.5 * (x2 @ v)
+        for _ in range(_FILTER_DEGREE - 1):
+            prev, cur = cur, x2 @ cur - prev
+        return cur
+
+    return spla.LinearOperator(ls.shape, matvec=apply, dtype=ls.dtype)
+
+
+def _rayleigh(ls, vecs):
+    """Rayleigh quotients of the columns of vecs and their residuals."""
+    lv = ls @ vecs
+    vals = np.einsum("ij,ij->j", vecs, lv) / np.einsum("ij,ij->j", vecs, vecs)
+    return vals, np.linalg.norm(lv - vecs * vals, axis=0)
+
+
 def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
     """Compute the n_e algebraically smallest eigenpairs of L_s = laplacian.matrix.
 
-    Runs an implicitly restarted Lanczos iteration on 2I - L_s (largest
-    pairs) and maps back, so no shift-invert factorization is needed.
-    ARPACK runs to full precision from a fixed start vector; tol bounds the
-    residuals of the result. Eigenvector signs are fixed so the
+    Runs an implicitly restarted Lanczos iteration (ARPACK, to full
+    precision from a fixed start vector) for the largest pairs of an
+    operator whose top eigenvectors are L_s's bottom ones, so no
+    shift-invert factorization is needed. Which operator depends on the
+    input's cost ratio n * ncv / nnz(L_s), ncv being ARPACK's basis size:
+
+    - below 4, ARPACK runs on 2I - L_s and the eigenvalues are mapped back;
+    - from 4 up, ARPACK's re-orthogonalization of each step against its
+      n x ncv basis outweighs a sparse product, so each step applies a
+      Chebyshev filter instead. A first ncv-step Lanczos pass with full
+      re-orthogonalization from the same start vector gives a, the n_e-th
+      smallest Ritz value, which is at least lambda_{n_e} by Poincare
+      separation. ARPACK then runs on T_m((cI - L_s)/e), which maps
+      [a, 2] onto [-1, 1] and the wanted eigenvalues above 1, in fewer
+      steps of m sparse products each. The eigenvalues are the Rayleigh
+      quotients, and every one must lie below a, or the call raises
+      EigensolverError. If the first pass finds an invariant subspace,
+      the 2I - L_s route runs instead.
+
+    The two routes agree to rounding, not in bytes. tol bounds the
+    residuals of the result. max_matvecs counts products with L_s,
+    including the first pass's ncv. Eigenvector signs are fixed so the
     largest-magnitude entry of each column is positive. Raises
-    EigensolverError on non-convergence.
+    EigensolverError on non-convergence, naming the graph's connected
+    components when there is more than one.
     """
     ls = laplacian.matrix
     n = ls.shape[0]
@@ -87,6 +166,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
     if not tol > 0:
         raise ValueError("tol must be positive")
 
+    bound = None  # set where the filtered route runs
     # ARPACK needs k < n and healthy subspace headroom; small problems go dense
     if n_e > n - 2 or n <= 3 * n_e + 10 or n < 64:
         dense = ls.toarray()
@@ -94,31 +174,40 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
         vals, vecs = vals[:n_e], vecs[:, :n_e]
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        flipped = 2.0 * sp.identity(n, format="csr") - ls
         if max_matvecs is None:
             max_matvecs = 100 * n_e
         ncv = min(n, max(2 * n_e + 1, 20))
-        maxiter = max(max_matvecs // ncv, 2)
+        if n * ncv >= _ORTH_PER_MATVEC * ls.nnz:
+            bound = _ritz_bound(ls, v0, ncv, n_e)
+        if bound is None:
+            op, maxiter = 2.0 * sp.identity(n, format="csr") - ls, max_matvecs // ncv
+        else:
+            op = _chebyshev_filter(ls, bound)
+            maxiter = (max_matvecs - ncv) // (ncv * _FILTER_DEGREE)
+        maxiter = max(maxiter, 2)
         try:
             theta, vecs = spla.eigsh(
-                flipped, k=n_e, which="LA", v0=v0, ncv=ncv, maxiter=maxiter, tol=0
+                op, k=n_e, which="LA", v0=v0, ncv=ncv, maxiter=maxiter, tol=0
             )
         except spla.ArpackNoConvergence as exc:
             best = None
-            if exc.eigenvalues is not None and exc.eigenvalues.size:
-                lam = 2.0 - exc.eigenvalues
-                best = np.linalg.norm(
-                    ls @ exc.eigenvectors - exc.eigenvectors * lam, axis=0
-                )
-            raise EigensolverError(
-                f"eigensolver did not converge within {max_matvecs} matrix applications",
-                residuals=best,
-            ) from exc
-        vals = 2.0 - theta
+            if exc.eigenvectors is not None and exc.eigenvectors.size:
+                best = _rayleigh(ls, exc.eigenvectors)[1]
+            message = f"eigensolver did not converge within {max_matvecs} matrix applications"
+            n_parts = connected_components(ls, directed=False)[0]
+            if n_parts > 1:
+                message += f"; the graph has {n_parts} connected components"
+            raise EigensolverError(message, residuals=best) from exc
+        vals = 2.0 - theta if bound is None else _rayleigh(ls, vecs)[0]
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
 
     residuals = np.linalg.norm(ls @ vecs - vecs * vals, axis=0)
+    if bound is not None and not np.all(vals < bound):
+        raise EigensolverError(
+            f"eigenvalue {vals.max():.6g} is not below the Krylov bound {bound:.6g}",
+            residuals=residuals,
+        )
     if np.any(residuals > tol):
         raise EigensolverError(
             f"eigenpair residual {residuals.max():.3e} exceeds tol {tol:.3e}",

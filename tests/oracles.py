@@ -168,6 +168,40 @@ def random_connected_graph(rng, n, extra_edges=None):
     return SparseWeightGraph(n, rows, cols, weights)
 
 
+def lattice_graph(side):
+    """side x side grid with unit edges to the 4 nearest lattice neighbours."""
+    idx = np.arange(side * side).reshape(side, side)
+    rows = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    cols = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return SparseWeightGraph(side * side, rows, cols, np.ones(rows.size))
+
+
+def ring_graph(n):
+    """Cycle of n vertices with unit edges: every Laplacian eigenvalue but
+    0 and 2 is double."""
+    rows = np.arange(n)
+    cols = (rows + 1) % n
+    return SparseWeightGraph(n, np.minimum(rows, cols), np.maximum(rows, cols),
+                             np.ones(n))
+
+
+def dense_subspace_gap(laplacian_dense, vals, vecs, cluster=1e-9):
+    """Largest eigenvalue error and largest subspace defect of (vals, vecs)
+    against np.linalg.eigh of the dense Laplacian. A column's defect is the
+    norm of its part outside the dense eigenspace of the eigenvalues within
+    `cluster` of the dense value it stands for, so a column from a repeated
+    eigenvalue may be any unit vector of that eigenspace."""
+    dense_vals, dense_vecs = np.linalg.eigh(laplacian_dense)
+    n_e = vals.size
+    value_err = np.max(np.abs(vals - dense_vals[:n_e]))
+    defect = 0.0
+    for k in range(n_e):
+        space = dense_vecs[:, np.abs(dense_vals - dense_vals[k]) <= cluster]
+        outside = vecs[:, k] - space @ (space.T @ vecs[:, k])
+        defect = max(defect, np.linalg.norm(outside))
+    return value_err, defect
+
+
 def all_subsets(n):
     for r in range(n + 1):
         for combo in itertools.combinations(range(n), r):

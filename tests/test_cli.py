@@ -477,8 +477,11 @@ class TestBench:
 
     def test_eigensolver_failure_exit_code(self, tmp_path, blob_files, capsys):
         # local scaling with M = 1 cuts the blobs into three components; on
-        # that spectrum Lanczos does not converge within its 100 * n_e budget
+        # that spectrum Lanczos does not converge within its 100 * n_e budget,
+        # and the message says why
         argv, out = stage_argv("bench", tmp_path, blob_files)
         assert main([*argv, "--weight", "local_scaling", "--neighbors", "10"]) == 3
-        assert "eigensolver did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "eigensolver did not converge" in err
+        assert "the graph has 3 connected components" in err
         assert not out.exists()

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphseg.cache import save_arrays
 from graphseg.data import MoonsSpec, generate_three_moons
@@ -11,6 +13,7 @@ from graphseg.graph import (
     knn_graph,
     normalized_laplacian,
 )
+from graphseg import spectral
 from graphseg.spectral import (
     EigensolverError,
     SpectralBasis,
@@ -23,7 +26,10 @@ from oracles import (
     BAD_CACHE_CASES,
     dense_kernel_laplacian_eigs,
     dense_laplacian,
+    dense_subspace_gap,
+    lattice_graph,
     random_connected_graph,
+    ring_graph,
     write_bad_cache,
 )
 
@@ -102,6 +108,104 @@ class TestExactSolver:
             smallest_eigenpairs(moons_laplacian, 0)
         with pytest.raises(ValueError):
             smallest_eigenpairs(moons_laplacian, 3, tol=0.0)
+
+
+def cost_ratio(lap, n_e):
+    """n * ncv / nnz(L_s): the filtered route is taken from 4 up."""
+    n = lap.matrix.shape[0]
+    return n * min(n, max(2 * n_e + 1, 20)) / lap.matrix.nnz
+
+
+def triangles(k):
+    """k disjoint triangles: two distinct eigenvalues, so a Krylov space
+    becomes invariant after two steps."""
+    base = 3 * np.arange(k)
+    rows = np.concatenate([base, base, base + 1])
+    cols = np.concatenate([base + 1, base + 2, base + 2])
+    return SparseWeightGraph(3 * k, rows, cols, np.ones(3 * k))
+
+
+@pytest.fixture
+def bounds_seen(monkeypatch):
+    """The Krylov bounds smallest_eigenpairs computed, None for a breakdown."""
+    seen = []
+    inner = spectral._ritz_bound
+
+    def spy(*args):
+        seen.append(inner(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(spectral, "_ritz_bound", spy)
+    return seen
+
+
+class TestFilteredSolver:
+    """The Chebyshev-filtered route, taken where n * ncv >= 4 nnz(L_s)."""
+
+    @pytest.mark.parametrize("graph, n_e, ratio", [
+        (lattice_graph(20), 30, 12.7),  # 400 vertices, 4 neighbours
+        (ring_graph(200), 40, 27.0),  # every eigenvalue but 0 and 2 double
+        (random_connected_graph(np.random.default_rng(3), 200, 2000), 20, 1.9),
+    ], ids=["lattice", "ring", "dense-random"])
+    def test_matches_dense_oracle(self, graph, n_e, ratio, bounds_seen):
+        lap = normalized_laplacian(graph)
+        assert cost_ratio(lap, n_e) == pytest.approx(ratio, abs=0.1)
+        basis = smallest_eigenpairs(lap, n_e, tol=1e-10)
+        assert len(bounds_seen) == (ratio >= 4)
+        value_err, defect = dense_subspace_gap(
+            dense_laplacian(graph), basis.eigenvalues, basis.eigenvectors)
+        assert value_err <= 1e-12
+        assert defect <= 1e-10
+        gram = basis.eigenvectors.T @ basis.eigenvectors
+        assert np.max(np.abs(gram - np.eye(n_e))) <= 1e-12
+        if bounds_seen:
+            assert np.all(basis.eigenvalues < bounds_seen[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 120),
+           n_e=st.integers(1, 12), extra=st.integers(0, 3))
+    def test_bound_is_above_the_n_e_th_eigenvalue(self, seed, n, n_e, extra):
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(rng, n, extra * n)
+        ls = normalized_laplacian(graph).matrix
+        ncv = min(n - 1, 2 * n_e + 1)
+        bound = spectral._ritz_bound(ls, rng.standard_normal(n), ncv, n_e)
+        if bound is not None:
+            # Poincare separation, up to the rounding of the projection
+            assert bound >= np.linalg.eigvalsh(dense_laplacian(graph))[n_e - 1] - 1e-12
+
+    def test_deterministic(self):
+        lap = normalized_laplacian(lattice_graph(20))
+        b1 = smallest_eigenpairs(lap, 30)
+        b2 = smallest_eigenpairs(lap, 30)
+        assert b1.eigenvalues.tobytes() == b2.eigenvalues.tobytes()
+        assert b1.eigenvectors.tobytes() == b2.eigenvectors.tobytes()
+
+    def test_matvec_budget_reports_rayleigh_residuals(self):
+        lap = normalized_laplacian(lattice_graph(20))
+        with pytest.raises(
+            EigensolverError, match="did not converge within 70 matrix applications$"
+        ) as exc:
+            smallest_eigenpairs(lap, 30, max_matvecs=70)
+        # the pairs ARPACK had converged, with L_s's Rayleigh quotients; the
+        # filter's own eigenvalues, all above 1, would leave residuals near 1
+        assert 0 < exc.value.residuals.size < 30
+        assert np.all(exc.value.residuals <= 1e-12)
+
+    def test_bound_below_the_spectrum_is_refused(self, monkeypatch):
+        lap = normalized_laplacian(ring_graph(200))
+        lam = np.linalg.eigvalsh(dense_laplacian(ring_graph(200)))
+        monkeypatch.setattr(spectral, "_ritz_bound", lambda *args: lam[19])
+        with pytest.raises(EigensolverError, match="not below the Krylov bound") as exc:
+            smallest_eigenpairs(lap, 40)
+        assert exc.value.residuals.shape == (40,)
+
+    def test_invariant_krylov_space_takes_the_plain_route(self, bounds_seen):
+        lap = normalized_laplacian(triangles(30))
+        assert cost_ratio(lap, 3) >= 4
+        basis = smallest_eigenpairs(lap, 3)
+        assert bounds_seen == [None]
+        assert np.allclose(basis.eigenvalues, 0.0, atol=1e-12)
 
 
 class TestNystrom:

@@ -1,0 +1,67 @@
+"""Print one line per eigensolve preset, so that the cost ratio at which
+`smallest_eigenpairs` switches to its Chebyshev-filtered route can be
+reproduced.
+
+    python3 tools/eigs_table.py > eigs.txt
+
+Builds the benchmark's graphs (bench/workloads.py, imported read-only) at
+data seed 1: three moons at N = 1,500, 6,000 and 15,000 with the moons
+sweep's weights, each at n_e = 15, 20 and 50, and the K = 10 mixture at
+n_e = 20, 30 and 50. Each line holds the cost ratio n * ncv / nnz(L_s),
+the best of 3 `smallest_eigenpairs` times, lambda_{n_e} and the largest
+residual. The filtered route is taken from a ratio of 4 up. One BLAS
+thread; uses the graphseg of the checkout the tool sits in. Run it in two
+checkouts and divide the times to get the crossover.
+"""
+
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA_SEED = 1
+REPEATS = 3
+MOONS_SIZES = (500, 2000, 5000)  # points per class
+MOONS_N_E = (15, 20, 50)
+MIXTURE_N_E = (20, 30, 50)
+
+
+def main():
+    # BLAS pools are sized when numpy is first imported
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+    import numpy as np
+
+    from graphseg import data, graph, spectral
+    from workloads import SWEEPS
+
+    moons, mixture = SWEEPS["moons-sweep-6k"], SWEEPS["mixture-k10-sweep"]
+    presets = [(f"moons-{3 * per_class}",
+                lambda p=per_class: data.generate_three_moons(
+                    data.MoonsSpec(points_per_class=p, seed=DATA_SEED)),
+                moons, MOONS_N_E) for per_class in MOONS_SIZES]
+    presets.append(("mixture-k10", lambda: mixture.make_data(DATA_SEED), mixture,
+                    MIXTURE_N_E))
+    for name, make_data, sweep, n_es in presets:
+        lap = graph.normalized_laplacian(graph.knn_graph(make_data().features, sweep.weights))
+        ls = lap.matrix
+        n = ls.shape[0]
+        for n_e in n_es:
+            ncv = min(n, max(2 * n_e + 1, 20))  # smallest_eigenpairs' ARPACK basis
+            times = []
+            for _ in range(REPEATS):
+                start = time.perf_counter()
+                basis = spectral.smallest_eigenpairs(lap, n_e, tol=sweep.eig_tol)
+                times.append(time.perf_counter() - start)
+            vecs, vals = basis.eigenvectors, basis.eigenvalues
+            residual = np.linalg.norm(ls @ vecs - vecs * vals, axis=0).max()
+            print(f"{name:<12} n_e {n_e:>2}  ratio {n * ncv / ls.nnz:5.2f}"
+                  f"  best {min(times):.4f} s  lambda {vals[-1]:.12f}"
+                  f"  residual {residual:.2e}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -331,8 +331,11 @@ def _merge_config_file(parser, argv):
             extra.append(flag)
         elif value is not False and value is not None:
             extra.extend([flag, str(value)])
-    # insert defaults right after the subcommand so CLI flags win
-    i = argv.index(ns.command)
+    # insert defaults right after the subcommand so CLI flags win; before it
+    # stand only --config and its value, which may have the subcommand's name
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
     return argv[: i + 1] + extra + argv[i + 1 :], taken
 
 

@@ -1,6 +1,6 @@
 """Shared solver core: fidelity sets and their check, random phase-field
-initialization, the diagonal solve in a truncated eigenbasis, the iteration
-driver with its relative-change stopping criterion, and the result record.
+initialization, the diagonal solve in a truncated eigenbasis, the
+relative-change stop ratio, the iteration driver and the result record.
 
 The solvers' (n, K) fields are Fortran-ordered, and their row sums are
 numpy's own on that layout: column by column, which at K >= 8 rounds
@@ -118,8 +118,8 @@ def spectral_solve(basis, n_e, r, shift, scale):
     return u
 
 
-def iterate(step, u0, eta, max_iters):
-    """Apply u <- step(u) until stop_ratio(u_new, u) < eta.
+def iterate(step, u0, stop, max_iters):
+    """Apply u <- step(u) until stop(u_new, u) holds.
 
     Returns (field, iterations, converged); converged is False when
     max_iters steps ran without meeting the criterion.
@@ -127,7 +127,7 @@ def iterate(step, u0, eta, max_iters):
     u = u0
     for iterations in range(1, max_iters + 1):
         u_new = step(u)
-        if stop_ratio(u_new, u) < eta:
+        if stop(u_new, u):
             return u_new, iterations, True
         u = u_new
     return u, max_iters, False

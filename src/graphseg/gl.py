@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphseg.fields import (SegmentResult, check_fidelity, iterate, random_label_field,
-                             spectral_solve)
-from graphseg.fields import stop_ratio  # not called here; bench/tracing.py binds it
+                             spectral_solve, stop_ratio)
 from graphseg.simplex import nearest_vertices, project_rows
 
 __all__ = [
@@ -131,8 +130,8 @@ def gl_segment(basis, fidelity, cfg):
     start = time.perf_counter()
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, iterations, converged = iterate(
-        lambda u: gl_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
-    )
+        lambda u: gl_step(u, basis, fidelity, cfg), u0,
+        lambda new, old: stop_ratio(new, old) < cfg.eta, cfg.max_iters)
     energy = multiclass_energy(u, basis, fidelity, cfg.epsilon)
     return SegmentResult(
         field=u,

@@ -137,29 +137,23 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
 
 
 def _nearest(keys, cols, k, squared):
-    """The k nearest of each row's smallest keys, and the rows that may tie.
+    """The k nearest of each row's keys, and the rows that may tie.
 
-    `keys` holds at least the k + 1 smallest keys of each distance row, in
-    any order, and `cols` their columns. The distance is sqrt(key) if
-    `squared`, else the key itself. Returns the columns of the k smallest
-    keys ordered by (distance, column), which are the first k columns of the
-    stable argsort of the full distance row, the distances there, and a mask
-    of the rows for which that is not certain. sqrt is monotone but may map adjacent
-    keys to one root: a key whose root equals that of the k-th smallest key
-    kth is at most kth * (1 + 2 eps), rounding to nearest. A row whose
-    (k + 1)-th key is at or below the bound kth * (1 + 8 eps) (kth itself
-    when not `squared`), or whose bound is not finite, may therefore tie at
-    the cut-off, and must be re-selected from its full row.
+    `keys` holds at least the k + 1 smallest keys of each distance row, or
+    the full row, in any order, and `cols` their columns. The distance is
+    sqrt(key) if `squared`, else the key itself. Returns the columns of the
+    k smallest distances ordered by (distance, column), which are the first
+    k columns of the stable argsort of the full distance row, the distances
+    there, and a mask of the rows whose (k + 1)-th distance is not above the
+    k-th (NaN included). A column missing from such a row may tie at the
+    cut-off and win by its lower index, so the row must be re-selected from
+    its full row.
     """
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
-    cols = np.take_along_axis(cols, order, axis=1)[:, :k]
-    bound = keys[:, k - 1] * (1.0 + 2.0**-49) if squared else keys[:, k - 1]
-    tied = ~(keys[:, k] > bound)  # nothing compares above a NaN or inf bound
-    dist = np.sqrt(keys[:, :k]) if squared else keys[:, :k]
+    dist = np.sqrt(keys) if squared else keys
     order = np.lexsort((cols, dist), axis=1)
-    return (np.take_along_axis(cols, order, axis=1),
-            np.take_along_axis(dist, order, axis=1), tied)
+    dist = np.take_along_axis(dist, order, axis=1)
+    tied = ~(dist[:, k] > dist[:, k - 1])
+    return np.take_along_axis(cols, order[:, :k], axis=1), dist[:, :k], tied
 
 
 def check_features(features):
@@ -186,11 +180,12 @@ def _pair_keys(x, sq_norms, rows, cols=None):
     of `cols`, or against every row of `x` when `cols` is None.
 
     The key is the squared distance (|x_i|^2 + |x_j|^2) - 2<x_i, x_j>,
-    rounded in that order, given `sq_norms`, and else the cosine distance
-    1 - <x_i, x_j>. Each inner product is np.einsum's over the two rows
-    alone, so the bytes of a key depend on x_i and x_j only, not on the batch
-    it is formed in. With `cols`, rows are taken in chunks that gather at
-    most _GATHER_ENTRIES floats; full rows come in batches from the caller.
+    rounded in that order and clamped at 0, given `sq_norms`, and else the
+    cosine distance 1 - <x_i, x_j>. Each inner product is np.einsum's over
+    the two rows alone, so the bytes of a key depend on x_i and x_j only,
+    not on the batch it is formed in. With `cols`, rows are taken in chunks
+    that gather at most _GATHER_ENTRIES floats; full rows come in batches
+    from the caller.
     """
     width = x.shape[0] if cols is None else cols.shape[1]
     keys = np.empty((rows.size, width))
@@ -208,6 +203,7 @@ def _pair_keys(x, sq_norms, rows, cols=None):
         else:
             out *= 2.0
             np.subtract(sq_norms[r, None] + sq_norms[c], out, out=out)
+            np.maximum(out, 0.0, out=out)
     return keys
 
 
@@ -300,8 +296,6 @@ def _candidates(x, sq_norms, k):
 
     keys = _pair_keys(x, sq_norms, np.arange(n), best_cols)
     keys[best_keys == np.inf] = np.inf  # itself, or padding
-    if sq_norms is not None:
-        np.maximum(keys, 0.0, out=keys)
     # The certificate. Let u = 2^-24, g_m = m u / (1 - m u), a = |y_i| and
     # M = max_j |y_j| in exact arithmetic; M >= 1/2. The float32 cast moves
     # |y_i - y_j| by at most u (|y_i| + |y_j|), the GEMM and the squared norms
@@ -335,10 +329,10 @@ def knn_graph(features, spec):
 
     A float32 screen of every pair (see `_candidates`) leaves each row a few
     candidates more than the k + 1 it needs, and the candidates get exact
-    float64 keys one pair at a time. The rows then finish as `_nearest`
-    says. A row that the screen's certificate cannot vouch for, or that may
-    tie at the k-th distance, takes a full row of exact keys and a stable
-    sort instead. The graph thus depends only on the features, not on BLAS
+    float64 keys one pair at a time, and `_nearest` selects from them. A
+    row that the screen's certificate cannot vouch for, or that ties at the
+    k-th distance, is selected by `_nearest` from a full row of exact keys
+    instead. The graph thus depends only on the features, not on BLAS
     blocking or thread count. The temporaries are the float32 copy of the
     features, a few 512-row tiles, c keys and columns per row, and chunks
     of a few MiB for the exact keys.
@@ -363,16 +357,12 @@ def knn_graph(features, spec):
     nbr, dist, tied = _nearest(keys, cols, k, squared)
     redo = np.flatnonzero(uncertain | tied)
     step = max(1, _BLOCK_ROWS**2 // n)
-    for a in range(0, redo.size, step):  # a full row of exact keys, stably sorted
+    for a in range(0, redo.size, step):  # a full row misses no column
         rows = redo[a : a + step]
         full = _pair_keys(features, sq_norms, rows)
         full[np.arange(rows.size), rows] = np.inf  # exclude self
-        if squared:
-            np.maximum(full, 0.0, out=full)
-            np.sqrt(full, out=full)
-        order = np.argsort(full, axis=1, kind="stable")[:, :k]
-        nbr[rows] = order
-        dist[rows] = np.take_along_axis(full, order, axis=1)
+        every = np.broadcast_to(np.arange(n), full.shape)
+        nbr[rows], dist[rows], _ = _nearest(full, every, k, squared)
 
     tau = None
     if spec.kind == "local_scaling":

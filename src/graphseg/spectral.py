@@ -154,10 +154,10 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
 
     The two routes agree to rounding, not in bytes. tol bounds the
     residuals of the result. max_matvecs counts products with L_s,
-    including the first pass's ncv. Eigenvector signs are fixed so the
-    largest-magnitude entry of each column is positive. Raises
-    EigensolverError on non-convergence, naming the graph's connected
-    components when there is more than one.
+    including the first pass's ncv, and defaults to 100 ncv. Eigenvector
+    signs are fixed so the largest-magnitude entry of each column is
+    positive. Raises EigensolverError on non-convergence, naming the graph's
+    connected components when there is more than one.
     """
     ls = laplacian.matrix
     n = ls.shape[0]
@@ -174,9 +174,9 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
         vals, vecs = vals[:n_e], vecs[:, :n_e]
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        if max_matvecs is None:
-            max_matvecs = 100 * n_e
         ncv = min(n, max(2 * n_e + 1, 20))
+        if max_matvecs is None:
+            max_matvecs = 100 * ncv
         if n * ncv >= _ORTH_PER_MATVEC * ls.nnz:
             bound = _ritz_bound(ls, v0, ncv, n_e)
         if bound is None:
@@ -198,12 +198,15 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
             if n_parts > 1:
                 message += f"; the graph has {n_parts} connected components"
             raise EigensolverError(message, residuals=best) from exc
-        vals = 2.0 - theta if bound is None else _rayleigh(ls, vecs)[0]
+        vals, residuals = (2.0 - theta, None) if bound is None else _rayleigh(ls, vecs)
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
+        if bound is not None:
+            residuals = residuals[order]
 
-    residuals = np.linalg.norm(ls @ vecs - vecs * vals, axis=0)
-    if bound is not None and not np.all(vals < bound):
+    if bound is None:
+        residuals = np.linalg.norm(ls @ vecs - vecs * vals, axis=0)
+    elif not np.all(vals < bound):
         raise EigensolverError(
             f"eigenvalue {vals.max():.6g} is not below the Krylov bound {bound:.6g}",
             residuals=residuals,

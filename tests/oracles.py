@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from graphseg.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
-from graphseg.fields import iterate, random_label_field
+from graphseg.fields import iterate, random_label_field, stop_ratio
 from graphseg.graph import SparseWeightGraph, gaussian_weight, local_scaling_weight
 from graphseg.mbo import mbo_step
 from graphseg.simplex import nearest_vertices
@@ -457,12 +457,13 @@ def stop_ratio_reference(u_new, u_old):
 # kernels everywhere the solvers look them up at call time
 REFERENCE_KERNELS = {
     ("graphseg.fields", "project_rows"): project_rows_reference,
-    ("graphseg.fields", "stop_ratio"): stop_ratio_reference,
     ("graphseg.gl", "project_rows"): project_rows_reference,
     ("graphseg.gl", "nearest_vertices"): nearest_vertices_reference,
     ("graphseg.gl", "well_derivative"): well_derivative_reference,
     ("graphseg.gl", "_row_l1_to_vertices"): row_l1_to_vertices_reference,
+    ("graphseg.gl", "stop_ratio"): stop_ratio_reference,
     ("graphseg.mbo", "nearest_vertices"): nearest_vertices_reference,
+    ("graphseg.mbo", "stop_ratio"): stop_ratio_reference,
 }
 
 
@@ -519,8 +520,8 @@ def binary_equivalence_check(basis, fidelity, cfg):
         raise ValueError("binary equivalence check requires K=2 fidelity")
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, _, _ = iterate(
-        lambda u: mbo_step(u, basis, fidelity, cfg), u0, cfg.eta, cfg.max_iters
-    )
+        lambda u: mbo_step(u, basis, fidelity, cfg), u0,
+        lambda new, old: stop_ratio(new, old) < cfg.eta, cfg.max_iters)
     labels_multiclass = nearest_vertices(u)
     b, _, _ = binary_mbo_segment(basis, fidelity, cfg, 2.0 * u0[:, 0] - 1.0)
     labels_binary = np.where(b > 0, 0, 1)

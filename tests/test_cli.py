@@ -418,6 +418,17 @@ class TestConfigFile:
         assert main(["--config", str(config), *argv]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("config_args", [["--config", "graph"], ["--config=graph"]])
+    def test_config_file_named_like_the_subcommand(self, tmp_path, blob_files, monkeypatch,
+                                                   config_args):
+        # the config's flags go after the subcommand, not after its own path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "graph").write_text(json.dumps({"neighbors": 5}))
+        features, _ = blob_files
+        assert main([*config_args, "graph", str(features), "--out", "g.npz"]) == 0
+        assert main(["graph", str(features), "--out", "flagged.npz", "--neighbors", "5"]) == 0
+        assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "flagged.npz").read_bytes()
+
     def test_config_key_of_no_subcommand_rejected(self, tmp_path, blob_files, capsys):
         features, _ = blob_files
         config = tmp_path / "config.json"
@@ -476,12 +487,14 @@ class TestBench:
         assert not (tmp_path / "b.json").exists()
 
     def test_eigensolver_failure_exit_code(self, tmp_path, blob_files, capsys):
-        # local scaling with M = 1 cuts the blobs into three components; on
-        # that spectrum Lanczos does not converge within its 100 * n_e budget,
-        # and the message says why
+        # local scaling with N = 2, M = 1 cuts the blobs into five
+        # components; on that spectrum Lanczos does not converge within its
+        # 100 * ncv budget (2,100 products at n_e = 10), and the message says
+        # why. With N = 10 the blobs have three components, and converge
+        # within 2,000 products.
         argv, out = stage_argv("bench", tmp_path, blob_files)
-        assert main([*argv, "--weight", "local_scaling", "--neighbors", "10"]) == 3
+        assert main([*argv, "--weight", "local_scaling", "--neighbors", "2"]) == 3
         err = capsys.readouterr().err
-        assert "eigensolver did not converge" in err
-        assert "the graph has 3 connected components" in err
+        assert "eigensolver did not converge within 2100 matrix applications" in err
+        assert "the graph has 5 connected components" in err
         assert not out.exists()

@@ -103,6 +103,15 @@ class TestExactSolver:
         ):
             smallest_eigenpairs(moons_laplacian, 5, max_matvecs=30)
 
+    def test_one_eigenpair_within_the_default_budget(self):
+        # the default budget is 100 products per Lanczos vector: at n_e = 1
+        # ncv is 20, and 100 * n_e = 100 products do not converge here
+        moons = generate_three_moons(MoonsSpec(points_per_class=2000, seed=0))
+        spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
+        lap = normalized_laplacian(knn_graph(moons.features, spec))
+        basis = smallest_eigenpairs(lap, 1)
+        assert abs(basis.eigenvalues[0]) <= 1e-10
+
     def test_parameter_validation(self, moons_laplacian):
         with pytest.raises(ValueError):
             smallest_eigenpairs(moons_laplacian, 0)

@@ -9,8 +9,10 @@ the graphseg of the checkout the tool sits in and one BLAS thread. The
 commands name their files by relative paths, because manifests record input
 paths as given. They build graph caches for the three weight kinds, exact
 and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
-0-3, one all-defaults `segment` run and a `bench` report, then run cases
-that must fail; one of them reads a one-key config file. Files named *.timings.json hold wall times and are skipped.
+0-3, one all-defaults `segment` run, a `bench` report and a graph from a
+config file named `graph`, like the subcommand, then run cases that must
+fail; one of them reads a one-key config file. Files named *.timings.json
+hold wall times and are skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
 graphseg only.
 """
@@ -44,6 +46,7 @@ COMMANDS = [
       for solver in ("gl", "mbo") for seed in range(4)],
     ["segment", "nystrom.npz", "labels.csv", "--out", "defaults.csv"],
     bench("labels.csv", "bench"),
+    ["--config", "graph", "graph", "features.csv", "--out", "config-named.npz"],
     # failures: none writes a file, except the stop at --max-iters
     ["segment", "exact.npz", "labels.csv", "--out", "stopped.csv", "--max-iters", "1"],
     ["eigs", "local.npz", "--out", "tiny-tol.npz", *EXACT, "--tol", "1e-300"],
@@ -89,6 +92,8 @@ def main():
         save_labels_csv(moons.labels[:-1], os.path.join(work, "short.csv"))
         with open(os.path.join(work, "epsilon.json"), "w") as f:
             f.write('{"epsilon": 2}\n')
+        with open(os.path.join(work, "graph"), "w") as f:
+            f.write('{"neighbors": 5}\n')
         # 10 distinct rows repeated 15 times: the landmark block has rank 10
         save_features_csv(moons.features[:10].repeat(15, axis=0),
                           os.path.join(work, "repeated.csv"))

@@ -137,7 +137,7 @@ def local_scaling_weight(d_ij, tau_i, tau_j):
 
 
 def _nearest(keys, cols, k, squared):
-    """The k nearest of each row's keys, and the rows that may tie.
+    """The k nearest of each row's keys, and the rows tied at the cut-off.
 
     `keys` holds at least the k + 1 smallest keys of each distance row, or
     the full row, in any order, and `cols` their columns. The distance is

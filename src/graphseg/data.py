@@ -5,6 +5,7 @@ embedded in R^100), headerless CSV feature/label I/O, the big-endian IDX
 image format used by MNIST, and per-class fidelity sampling.
 """
 
+import re
 import struct
 import warnings
 from dataclasses import dataclass
@@ -109,17 +110,16 @@ def save_features_csv(features, path):
 
 
 def load_labels_csv(path):
-    """Parse one 0-based class index per line."""
+    """Parse one 0-based class index per line: ASCII digits, optionally signed."""
     labels = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer label") from exc
+            if not re.fullmatch(r"[+-]?[0-9]+", line):  # int() reads 1_0, non-ASCII digits
+                raise ValueError(f"{path}:{lineno}: non-integer label")
+            labels.append(int(line))
             if labels[-1] < 0:
                 raise ValueError(f"{path}:{lineno}: label out of range")
     if not labels:

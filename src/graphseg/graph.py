@@ -20,8 +20,6 @@ __all__ = [
     "WeightSpec",
     "SparseWeightGraph",
     "NormalizedLaplacian",
-    "gaussian_weight",
-    "local_scaling_weight",
     "knn_graph",
     "normalized_laplacian",
     "save_graph",
@@ -109,31 +107,6 @@ class NormalizedLaplacian:
 
     matrix: sp.csr_matrix
     graph: SparseWeightGraph
-
-
-def gaussian_weight(d, sigma):
-    """Gaussian similarity exp(-d^2 / sigma^2)."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distances must be nonnegative")
-    return np.exp(-(d**2) / sigma**2)
-
-
-def local_scaling_weight(d_ij, tau_i, tau_j):
-    """Zelnik-Manor--Perona weight exp(-d_ij^2 / sqrt(tau_i tau_j)).
-
-    tau_i is the squared distance from i to its M-th closest neighbor.
-    """
-    tau_i = np.asarray(tau_i, dtype=float)
-    tau_j = np.asarray(tau_j, dtype=float)
-    if np.any(tau_i <= 0) or np.any(tau_j <= 0):
-        raise ValueError(
-            "nonpositive local scale; duplicate points at the M-th neighbor"
-        )
-    d_ij = np.asarray(d_ij, dtype=float)
-    return np.exp(-(d_ij**2) / np.sqrt(tau_i * tau_j))
 
 
 def _nearest(keys, cols, k, squared):
@@ -385,9 +358,9 @@ def knn_graph(features, spec):
     i, j, d = i[uniq], j[uniq], d[uniq]
 
     if spec.kind == "gaussian":
-        w = gaussian_weight(d, spec.sigma)
+        w = np.exp(-(d**2) / spec.sigma**2)
     elif spec.kind == "local_scaling":
-        w = local_scaling_weight(d, tau[i], tau[j])
+        w = np.exp(-(d**2) / np.sqrt(tau[i] * tau[j]))
     else:  # cosine: weight is the (clamped) similarity itself
         w = np.maximum(1.0 - d, 0.0)
 

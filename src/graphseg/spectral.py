@@ -68,9 +68,7 @@ class SpectralBasis:
 def _fix_signs(vecs):
     """Flip each column so its largest-magnitude entry is positive."""
     top = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[top, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
+    return vecs * np.sign(vecs[top, np.arange(vecs.shape[1])])
 
 
 # Filtered Lanczos pays where ARPACK's re-orthogonalization of a step,
@@ -80,6 +78,8 @@ _ORTH_PER_MATVEC = 4
 _FILTER_DEGREE = 4
 # A Lanczos step this short (||L_s|| <= 2) means the Krylov space is invariant.
 _BREAKDOWN = 1e-10
+# The eigensolver's budget: products of L_s per Lanczos vector (ncv of them).
+_MATVECS_PER_VECTOR = 100
 
 
 def _ritz_bound(ls, v0, ncv, n_e):
@@ -130,7 +130,7 @@ def _rayleigh(ls, vecs):
     return vals, np.linalg.norm(lv - vecs * vals, axis=0)
 
 
-def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
+def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
     """Compute the n_e algebraically smallest eigenpairs of L_s = laplacian.matrix.
 
     Runs an implicitly restarted Lanczos iteration (ARPACK, to full
@@ -153,8 +153,8 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
       the 2I - L_s route runs instead.
 
     The two routes agree to rounding, not in bytes. tol bounds the
-    residuals of the result. max_matvecs counts products with L_s,
-    including the first pass's ncv, and defaults to 100 ncv. Eigenvector
+    residuals of the result. The budget is _MATVECS_PER_VECTOR * ncv
+    products with L_s, the first pass's ncv included. Eigenvector
     signs are fixed so the largest-magnitude entry of each column is
     positive. Raises EigensolverError on non-convergence, naming the graph's
     connected components when there is more than one.
@@ -168,15 +168,14 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8, max_matvecs=None):
 
     bound = None  # set where the filtered route runs
     # ARPACK needs k < n and healthy subspace headroom; small problems go dense
-    if n_e > n - 2 or n <= 3 * n_e + 10 or n < 64:
+    if n <= 3 * n_e + 10 or n < 64:
         dense = ls.toarray()
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:n_e], vecs[:, :n_e]
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
         ncv = min(n, max(2 * n_e + 1, 20))
-        if max_matvecs is None:
-            max_matvecs = 100 * ncv
+        max_matvecs = _MATVECS_PER_VECTOR * ncv
         if n * ncv >= _ORTH_PER_MATVEC * ls.nnz:
             bound = _ritz_bound(ls, v0, ncv, n_e)
         if bound is None:

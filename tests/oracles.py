@@ -4,8 +4,8 @@ Everything here deliberately avoids the code under test: dense eigensolvers,
 grid searches, finite differences, exhaustive enumeration, the original
 full-sort neighbour selection of the k-NN graph, on its GEMM distance
 tiles and on per-pair inner products, exact integer comparison of cosines,
-the original row-wise solver kernels,
-the scalar cosine weight, and the scalar +/-1 binary MBO pipeline. The IDX
+the original row-wise solver kernels, the Gaussian, local scaling and
+scalar cosine weights, and the scalar +/-1 binary MBO pipeline. The IDX
 writers and `write_bad_cache` build input files for the loaders' tests, and
 `confusion` tabulates labels for the evaluation tests.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from graphseg.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC
 from graphseg.fields import iterate, random_label_field, stop_ratio
-from graphseg.graph import SparseWeightGraph, gaussian_weight, local_scaling_weight
+from graphseg.graph import SparseWeightGraph
 from graphseg.mbo import mbo_step
 from graphseg.simplex import nearest_vertices
 
@@ -42,6 +42,31 @@ def grid_project_simplex(v, tol=1e-9):
         if step < tol:
             break
     return np.clip(v - ts[best], 0.0, None)
+
+
+def gaussian_weight(d, sigma):
+    """Gaussian similarity exp(-d^2 / sigma^2)."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
+        raise ValueError("distances must be nonnegative")
+    return np.exp(-(d**2) / sigma**2)
+
+
+def local_scaling_weight(d_ij, tau_i, tau_j):
+    """Zelnik-Manor--Perona weight exp(-d_ij^2 / sqrt(tau_i tau_j)).
+
+    tau_i is the squared distance from i to its M-th closest neighbor.
+    """
+    tau_i = np.asarray(tau_i, dtype=float)
+    tau_j = np.asarray(tau_j, dtype=float)
+    if np.any(tau_i <= 0) or np.any(tau_j <= 0):
+        raise ValueError(
+            "nonpositive local scale; duplicate points at the M-th neighbor"
+        )
+    d_ij = np.asarray(d_ij, dtype=float)
+    return np.exp(-(d_ij**2) / np.sqrt(tau_i * tau_j))
 
 
 def cosine_weight(x_i, x_j):

@@ -91,6 +91,11 @@ class TestCsvIO:
         path.write_text("-1\n")
         with pytest.raises(ValueError, match="range"):
             load_labels_csv(path)
+        # int() reads both as integers: 10, and the Arabic-Indic digit 3
+        for line in ("1_0", "\u0663"):
+            path.write_text(f"0\n{line}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="bad.csv:2: non-integer label"):
+                load_labels_csv(path)
 
 
 class TestIdxIO:

@@ -19,10 +19,8 @@ from graphseg.graph import (
     _candidates,
     _nearest,
     _pair_keys,
-    gaussian_weight,
     knn_graph,
     load_graph,
-    local_scaling_weight,
     normalized_laplacian,
     save_graph,
 )
@@ -30,8 +28,10 @@ from oracles import (
     BAD_CACHE_CASES,
     cosine_cutoff_ties,
     cosine_weight,
+    gaussian_weight,
     knn_graph_exact_reference,
     knn_graph_reference,
+    local_scaling_weight,
     quadratic_form,
     random_connected_graph,
     write_bad_cache,
@@ -128,6 +128,9 @@ def gemm_weight_bound(features, spec, graph):
 
 
 class TestWeightFunctions:
+    """The oracle's weight functions, which the reference graphs use; the
+    library forms the same expressions inside `knn_graph`."""
+
     def test_gaussian_examples(self):
         assert gaussian_weight(0.0, 1.0) == 1.0
         assert gaussian_weight(2.0, 2.0) == pytest.approx(np.exp(-1.0), abs=1e-15)

@@ -97,11 +97,13 @@ class TestExactSolver:
         assert exc.value.residuals is not None
         assert np.all(exc.value.residuals > 1e-30)
 
-    def test_matvec_budget_reports_non_convergence(self, moons_laplacian):
+    def test_matvec_budget_reports_non_convergence(self, moons_laplacian, monkeypatch):
+        # one product per Lanczos vector: a budget of ncv = 20
+        monkeypatch.setattr(spectral, "_MATVECS_PER_VECTOR", 1)
         with pytest.raises(
-            EigensolverError, match="did not converge within 30 matrix applications"
+            EigensolverError, match="did not converge within 20 matrix applications"
         ):
-            smallest_eigenpairs(moons_laplacian, 5, max_matvecs=30)
+            smallest_eigenpairs(moons_laplacian, 5)
 
     def test_one_eigenpair_within_the_default_budget(self):
         # the default budget is 100 products per Lanczos vector: at n_e = 1
@@ -190,12 +192,14 @@ class TestFilteredSolver:
         assert b1.eigenvalues.tobytes() == b2.eigenvalues.tobytes()
         assert b1.eigenvectors.tobytes() == b2.eigenvectors.tobytes()
 
-    def test_matvec_budget_reports_rayleigh_residuals(self):
+    def test_matvec_budget_reports_rayleigh_residuals(self, monkeypatch):
         lap = normalized_laplacian(lattice_graph(20))
+        # one product per Lanczos vector: a budget of ncv = 61
+        monkeypatch.setattr(spectral, "_MATVECS_PER_VECTOR", 1)
         with pytest.raises(
-            EigensolverError, match="did not converge within 70 matrix applications$"
+            EigensolverError, match="did not converge within 61 matrix applications$"
         ) as exc:
-            smallest_eigenpairs(lap, 30, max_matvecs=70)
+            smallest_eigenpairs(lap, 30)
         # the pairs ARPACK had converged, with L_s's Rayleigh quotients; the
         # filter's own eigenvalues, all above 1, would leave residuals near 1
         assert 0 < exc.value.residuals.size < 30

@@ -11,8 +11,9 @@ paths as given. They build graph caches for the three weight kinds, exact
 and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
 0-3, one all-defaults `segment` run, a `bench` report and a graph from a
 config file named `graph`, like the subcommand, then run cases that must
-fail; one of them reads a one-key config file. Files named *.timings.json
-hold wall times and are skipped.
+fail; one of them reads a one-key config file, and one a labels file whose
+class 10 is written `1_0`. Files named *.timings.json hold wall times and
+are skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
 graphseg only.
 """
@@ -58,6 +59,7 @@ COMMANDS = [
     ["graph", "missing.csv", "--out", "missing.npz"],
     ["segment", "exact.npz", "labels.csv", "--out", "bad.csv", "--solver", "gl",
      "--epsilon", "-1"],
+    ["segment", "exact.npz", "underscore.csv", "--out", "underscore-labels.csv"],
     ["segment", "exact.npz", "labels.csv", "--out", "unread.csv", "--epsilon", "7"],
     ["--config", "epsilon.json", "segment", "exact.npz", "labels.csv", "--out",
      "config-unread.csv", "--solver", "mbo", "--epsilon", "7"],
@@ -94,6 +96,9 @@ def main():
             f.write('{"epsilon": 2}\n')
         with open(os.path.join(work, "graph"), "w") as f:
             f.write('{"neighbors": 5}\n')
+        # labels i mod 11, every class nonempty; int() would read 1_0 as 10
+        with open(os.path.join(work, "underscore.csv"), "w") as f:
+            f.writelines(f"{'1_0' if i % 11 == 10 else i % 11}\n" for i in range(1500))
         # 10 distinct rows repeated 15 times: the landmark block has rank 10
         save_features_csv(moons.features[:10].repeat(15, axis=0),
                           os.path.join(work, "repeated.csv"))

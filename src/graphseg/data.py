@@ -117,7 +117,8 @@ def load_labels_csv(path):
             line = line.strip()
             if not line:
                 continue
-            if not re.fullmatch(r"[+-]?[0-9]+", line):  # int() reads 1_0, non-ASCII digits
+            # not int() alone: it also reads 1_0 and non-ASCII digits
+            if not re.fullmatch(r"[+-]?[0-9]+", line):
                 raise ValueError(f"{path}:{lineno}: non-integer label")
             labels.append(int(line))
             if labels[-1] < 0:

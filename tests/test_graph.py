@@ -304,11 +304,13 @@ class TestMatchesFullSortReference:
         pytest.param(1024, 5, id="1024"),
         pytest.param(1500, 100, id="1500-D100"),
     ])
-    @pytest.mark.parametrize("kind", ["local_scaling", "cosine"])
+    @pytest.mark.parametrize("kind", ["gaussian", "local_scaling", "cosine"])
     def test_normal_features(self, n, dim, kind):
         feats = np.random.default_rng(n).normal(size=(n, dim))
         if kind == "cosine":
             assert_matches_reference(feats, WeightSpec(kind="cosine", neighbors=7))
+        elif kind == "gaussian":  # sigma^2 rounds here, unlike at sigma = 1 or 2
+            assert_matches_reference(feats, WeightSpec(kind="gaussian", neighbors=7, sigma=1.3))
         else:
             assert_matches_reference(
                 feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)

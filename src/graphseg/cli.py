@@ -108,12 +108,8 @@ def _solver_config(args, n_e):
     shared = ["dt", "mu", "eta", "max_iters", "seed"]
     path = f"with --solver {args.solver}"
     if args.solver == "mbo":
-        return MBOConfig(n_e=n_e, **_read_flags(args, shared + ["n_s"],
-                                                ["epsilon", "convexity"], path))
-    kwargs = _read_flags(args, shared + ["epsilon", "convexity"], ["n_s"], path)
-    if "convexity" in kwargs:
-        kwargs["c"] = kwargs.pop("convexity")
-    return GLConfig(n_e=n_e, **kwargs)
+        return MBOConfig(n_e=n_e, **_read_flags(args, shared + ["n_s"], ["epsilon"], path))
+    return GLConfig(n_e=n_e, **_read_flags(args, shared + ["epsilon"], ["n_s"], path))
 
 
 def cmd_segment(args):
@@ -230,8 +226,6 @@ def _add_solver_flags(p):
     p.add_argument("--dt", type=float)
     p.add_argument("--mu", type=float)
     p.add_argument("--eta", type=float)
-    p.add_argument("--convexity", type=float,
-                   help="GL only: convexity constant C (default mu + 1/epsilon)")
     p.add_argument("--n-s", type=int, help="MBO only")
     # MBOConfig's own max_iters is 100; both solvers run to 500 here
     p.add_argument("--max-iters", type=int, default=500)

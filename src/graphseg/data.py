@@ -95,6 +95,9 @@ def load_features_csv(path):
         rows = [(n, line.split(",")) for n, line in enumerate(f, start=1) if line != "\n"]
     for lineno, cells in rows:
         try:
+            # not float() alone: it also reads 1_0 and non-ASCII digits
+            if not all(cell.isascii() and "_" not in cell for cell in cells):
+                raise ValueError
             [float(cell) for cell in cells]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from error

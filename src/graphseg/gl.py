@@ -27,18 +27,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GLConfig:
-    """Parameters of the convex-splitting scheme.
-
-    c defaults to mu + 1/epsilon, the lower bound guaranteeing the
-    convexity/concavity of the energy split.
-    """
+    """Parameters of the convex-splitting scheme."""
 
     n_e: int
     epsilon: float = 1.0
     dt: float = 0.1
     mu: float = 30.0
     eta: float = 1e-7
-    c: float = None
     max_iters: int = 500
     seed: int = 0
 
@@ -46,12 +41,13 @@ class GLConfig:
         for name in ("epsilon", "dt", "mu", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.c is None:
-            object.__setattr__(self, "c", self.mu + 1.0 / self.epsilon)
-        if not self.c >= self.mu + 1.0 / self.epsilon - 1e-12:
-            raise ValueError("convexity constant must satisfy c >= mu + 1/epsilon")
         if self.n_e < 1 or self.max_iters < 1:
             raise ValueError("n_e and max_iters must be >= 1")
+
+    @property
+    def c(self):
+        """mu + 1/epsilon, the least c that splits the energy convex-concave."""
+        return self.mu + 1.0 / self.epsilon
 
 
 def _row_l1_to_vertices(u):

@@ -152,12 +152,15 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
       EigensolverError. If the first pass finds an invariant subspace,
       the 2I - L_s route runs instead.
 
-    The two routes agree to rounding, not in bytes. tol bounds the
-    residuals of the result. The budget is _MATVECS_PER_VECTOR * ncv
-    products with L_s, the first pass's ncv included. Eigenvector
-    signs are fixed so the largest-magnitude entry of each column is
-    positive. Raises EigensolverError on non-convergence, naming the graph's
-    connected components when there is more than one.
+    The two routes agree to rounding, not in bytes. The budget is
+    _MATVECS_PER_VECTOR * ncv products with L_s, the first pass's ncv
+    included. Eigenvector signs are fixed so the largest-magnitude entry of
+    each column is positive. ARPACK runs to tol=0: a single-vector Lanczos
+    method finds further copies of a repeated eigenvalue only by rounding,
+    once the first has converged, so a stop at tol can skip them. Besides
+    residuals within tol, the result needs an eigenvalue within tol of 0
+    per connected component, up to n_e. EigensolverError is raised if not,
+    and on non-convergence, naming the components if there is more than one.
     """
     ls = laplacian.matrix
     n = ls.shape[0]
@@ -165,6 +168,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
         raise ValueError(f"n_e={n_e} must be in [1, {n}]")
     if not tol > 0:
         raise ValueError("tol must be positive")
+    n_parts = connected_components(ls, directed=False)[0]
 
     bound = None  # set where the filtered route runs
     # ARPACK needs k < n and healthy subspace headroom; small problems go dense
@@ -193,7 +197,6 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
             if exc.eigenvectors is not None and exc.eigenvectors.size:
                 best = _rayleigh(ls, exc.eigenvectors)[1]
             message = f"eigensolver did not converge within {max_matvecs} matrix applications"
-            n_parts = connected_components(ls, directed=False)[0]
             if n_parts > 1:
                 message += f"; the graph has {n_parts} connected components"
             raise EigensolverError(message, residuals=best) from exc
@@ -215,6 +218,9 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
             f"eigenpair residual {residuals.max():.3e} exceeds tol {tol:.3e}",
             residuals=residuals,
         )
+    if np.count_nonzero(np.abs(vals) <= tol) < min(n_parts, n_e):
+        raise EigensolverError(f"the basis misses a zero eigenvalue of the graph's {n_parts} "
+                               "connected components", residuals=residuals)
     return SpectralBasis(vals, _fix_signs(vecs), "exact")
 
 

@@ -97,6 +97,9 @@ class TestPipeline:
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["solver"] == "gl"
         assert isinstance(manifest["final_energy"], float)
+        # c = mu + 1/epsilon follows from the two recorded beside it
+        assert set(manifest["config"]) == {"n_e", "epsilon", "dt", "mu", "eta", "max_iters",
+                                           "seed"}
 
     def test_deterministic_outputs(self, tmp_path, blob_files, blobs):
         features, labels = blob_files
@@ -157,6 +160,9 @@ class TestValidation:
         pytest.param("graph", ["--n-e", "0"], 2, "n_e=0", id="n-e-zero"),
         pytest.param("graph", ["--n-e", "10", "--tol", "1e-300"], 3, "exceeds tol",
                      id="tiny-tol"),
+        # the blobs have three components; at these sizes Lanczos returns two zeros
+        *[pytest.param("graph", ["--n-e", n_e], 3, "zero eigenvalue of the graph's 3 connected",
+                       id=f"missed-zero-n-e-{n_e}") for n_e in ("4", "5")],
         # 10 distinct rows repeated 12 times: the 40 landmarks span rank 10
         pytest.param("repeated", ["--nystrom", "--sample", "40", "--n-e", "5",
                                   "--weight", "gaussian", "--sigma", "3"], 2, "near-singular",
@@ -234,8 +240,6 @@ class TestValidation:
         pytest.param("graph", ["--weight", "gaussian", "--m-scale", "3"], "--m-scale",
                      id="graph-gaussian-m-scale"),
         pytest.param("segment", ["--epsilon", "7"], "--epsilon", id="segment-mbo-epsilon"),
-        pytest.param("segment", ["--solver", "mbo", "--convexity", "99"], "--convexity",
-                     id="segment-mbo-convexity"),
         pytest.param("segment", ["--solver", "gl", "--n-s", "4"], "--n-s", id="segment-gl-n-s"),
         pytest.param("bench", ["--m-scale", "3"], "--m-scale", id="bench-gaussian-m-scale"),
         pytest.param("bench", ["--epsilon", "2"], "--epsilon", id="bench-mbo-epsilon"),
@@ -287,6 +291,11 @@ class TestValidation:
                      id="eigs-m-scale"),
         pytest.param(["bench", "--dataset", "moons", "--metric", "cosine_distance"],
                      id="bench-metric"),
+        # GL runs at c = mu + 1/epsilon, which is not a setting
+        pytest.param(["segment", "e.txt", "l.csv", "--out", "s.csv", "--solver", "gl",
+                      "--convexity", "40"], id="segment-convexity"),
+        pytest.param(["bench", "--dataset", "moons", "--solver", "gl", "--convexity", "40"],
+                     id="bench-convexity"),
     ])
     def test_removed_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

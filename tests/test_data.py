@@ -82,6 +82,11 @@ class TestCsvIO:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             load_features_csv(path)
+        # float() reads all three, as 10, 3 and 1; np.loadtxt reads none
+        for cell in ("1_0", "\u0663", "\uff11"):
+            path.write_text(f"1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match="bad.csv:2: non-numeric cell"):
+                load_features_csv(path)
 
     def test_label_errors(self, tmp_path):
         path = tmp_path / "bad.csv"

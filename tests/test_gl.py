@@ -43,9 +43,13 @@ class TestConfig:
         cfg = GLConfig(n_e=10, epsilon=2.0, mu=30.0)
         assert cfg.c == pytest.approx(30.0 + 0.5)
 
-    def test_rejects_too_small_constant(self):
-        with pytest.raises(ValueError, match="convexity"):
-            GLConfig(n_e=10, epsilon=1.0, mu=30.0, c=30.9)
+    def test_constant_is_derived_not_set(self):
+        with pytest.raises(TypeError):
+            GLConfig(n_e=10, c=40.0)
+        # the bytes of mu + 1/epsilon; (mu * epsilon + 1) / epsilon rounds differently here
+        cfg = GLConfig(n_e=10, epsilon=0.7, mu=30.0)
+        assert cfg.c == 30.0 + 1.0 / 0.7
+        assert "c" not in vars(cfg)
 
     def test_rejects_nonpositive_parameters(self):
         for kwargs in (

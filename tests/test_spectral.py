@@ -34,6 +34,10 @@ from oracles import (
 )
 
 
+# the blobs' graph: three connected components
+BLOB_SPEC = WeightSpec(kind="gaussian", neighbors=8, sigma=1.0)
+
+
 def complete_graph(n):
     rows, cols = np.triu_indices(n, k=1)
     return SparseWeightGraph(n, rows, cols, np.ones(rows.size))
@@ -113,6 +117,21 @@ class TestExactSolver:
         lap = normalized_laplacian(knn_graph(moons.features, spec))
         basis = smallest_eigenpairs(lap, 1)
         assert abs(basis.eigenvalues[0]) <= 1e-10
+
+    @pytest.mark.parametrize("n_e", [4, 5])
+    def test_missed_zero_eigenvalue_raises(self, blobs, n_e):
+        # the blobs have three components, and Lanczos returns 0, 0, 0.0988,
+        # ... here: one zero eigenvalue is missing, yet every residual is
+        # below 1e-14
+        lap = normalized_laplacian(knn_graph(blobs.features, BLOB_SPEC))
+        with pytest.raises(EigensolverError, match="the graph's 3 connected components"):
+            smallest_eigenpairs(lap, n_e, tol=1e-6)
+
+    @pytest.mark.parametrize("n_e", [1, 2, 3, 6, 10, 15])
+    def test_one_zero_eigenvalue_per_component(self, blobs, n_e):
+        lap = normalized_laplacian(knn_graph(blobs.features, BLOB_SPEC))
+        basis = smallest_eigenpairs(lap, n_e, tol=1e-6)
+        assert np.count_nonzero(np.abs(basis.eigenvalues) <= 1e-6) == min(3, n_e)
 
     def test_parameter_validation(self, moons_laplacian):
         with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ the graphseg of the checkout the tool sits in and one BLAS thread. The
 commands name their files by relative paths, because manifests record input
 paths as given. They build graph caches for the three weight kinds, exact
 and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
-0-3, one all-defaults `segment` run, a `bench` report and a graph from a
-config file named `graph`, like the subcommand, then run cases that must
-fail; one of them reads a one-key config file, and one a labels file whose
-class 10 is written `1_0`. Files named *.timings.json hold wall times and
-are skipped.
+0-3, GL labels at epsilon 2, one all-defaults `segment` run, a `bench`
+report and a graph from a config file named `graph`, like the subcommand,
+then run cases that must fail; one of them reads a one-key config file,
+one a labels file whose class 10 is written `1_0`, and one passes GL the
+constant c, which follows from --mu and --epsilon. Files named
+*.timings.json hold wall times and are skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
 graphseg only.
 """
@@ -46,6 +47,8 @@ COMMANDS = [
        "--solver", solver, "--seed", str(seed)]
       for solver in ("gl", "mbo") for seed in range(4)],
     ["segment", "nystrom.npz", "labels.csv", "--out", "defaults.csv"],
+    ["segment", "exact.npz", "labels.csv", "--out", "gl-epsilon-2.csv", "--solver", "gl",
+     "--epsilon", "2"],
     bench("labels.csv", "bench"),
     ["--config", "graph", "graph", "features.csv", "--out", "config-named.npz"],
     # failures: none writes a file, except the stop at --max-iters
@@ -61,6 +64,8 @@ COMMANDS = [
      "--epsilon", "-1"],
     ["segment", "exact.npz", "underscore.csv", "--out", "underscore-labels.csv"],
     ["segment", "exact.npz", "labels.csv", "--out", "unread.csv", "--epsilon", "7"],
+    ["segment", "exact.npz", "labels.csv", "--out", "convexity.csv", "--solver", "gl",
+     "--convexity", "40"],
     ["--config", "epsilon.json", "segment", "exact.npz", "labels.csv", "--out",
      "config-unread.csv", "--solver", "mbo", "--epsilon", "7"],
     bench("labels.csv", "few", "--fidelity-per-class", "600"),

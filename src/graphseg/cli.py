@@ -199,12 +199,11 @@ def cmd_bench(args):
 
     spec = _weight_spec(args)
     cfg = _solver_config(args, args.n_e)
-    report = run_benchmark(_load_dataset(args), spec, cfg,
-                           per_class=args.fidelity_per_class, n_seeds=args.seeds)
-    out = args.out
-    write_report(report, out + ".json", out + ".timings.json", out + ".txt")
+    report = run_benchmark(_load_dataset(args), spec, cfg, per_class=args.fidelity_per_class,
+                           **_read_flags(args, ["n_seeds"]))
+    write_report(report, args.out)
     print(
-        f"mean accuracy over {args.seeds} seeds: {100.0 * report.mean_accuracy:.2f}%"
+        f"mean accuracy over {len(report.seeds)} seeds: {100.0 * report.mean_accuracy:.2f}%"
     )
     if not all(report.converged):
         return EXIT_NONCONVERGENCE
@@ -272,7 +271,7 @@ def build_parser():
     p = sub.add_parser("bench", help="multi-seed end-to-end benchmark")
     p.add_argument("--dataset", choices=["moons", "csv", "mnist"], required=True)
     p.add_argument("--out", default="benchmark")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=int, dest="n_seeds")
     p.add_argument("--n-e", type=int, default=20)
     p.add_argument("--fidelity-per-class", type=int, default=25)
     p.add_argument("--features")

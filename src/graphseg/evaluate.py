@@ -98,15 +98,15 @@ def run_benchmark(dataset, weight_spec, config, per_class, n_seeds=10):
     )
 
 
-def write_report(report, results_path, timings_path, table_path):
-    """Emit the machine-readable report (deterministic part and timings in
-    separate files) and a human-readable table."""
+def write_report(report, out):
+    """Write the deterministic results to out.json, the timings to
+    out.timings.json and a human-readable table to out.txt."""
     payload = asdict(report)
     timings = payload.pop("timings")
-    with open(results_path, "w") as f:
+    with open(f"{out}.json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    with open(timings_path, "w") as f:
+    with open(f"{out}.timings.json", "w") as f:
         json.dump(timings, f, indent=2, sort_keys=True)
         f.write("\n")
     lines = [
@@ -118,5 +118,5 @@ def write_report(report, results_path, timings_path, table_path):
         report.seeds, report.accuracies, report.iterations, report.converged
     ):
         lines.append(f"{s:>4}  {100.0 * a:7.2f}%  {i:>10}  {c}")
-    with open(table_path, "w") as f:
+    with open(f"{out}.txt", "w") as f:
         f.write("\n".join(lines) + "\n")

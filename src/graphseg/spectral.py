@@ -78,8 +78,8 @@ _ORTH_PER_MATVEC = 4
 _FILTER_DEGREE = 4
 # A Lanczos step this short (||L_s|| <= 2) means the Krylov space is invariant.
 _BREAKDOWN = 1e-10
-# The eigensolver's budget: products of L_s per Lanczos vector (ncv of them).
-_MATVECS_PER_VECTOR = 100
+# ARPACK's implicit restarts on 2I - L_s; the filtered route gets 1/_FILTER_DEGREE.
+_RESTARTS = 100
 
 
 def _ritz_bound(ls, v0, ncv, n_e):
@@ -152,10 +152,11 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
       EigensolverError. If the first pass finds an invariant subspace,
       the 2I - L_s route runs instead.
 
-    The two routes agree to rounding, not in bytes. The budget is
-    _MATVECS_PER_VECTOR * ncv products with L_s, the first pass's ncv
-    included. Eigenvector signs are fixed so the largest-magnitude entry of
-    each column is positive. ARPACK runs to tol=0: a single-vector Lanczos
+    The two routes agree to rounding, not in bytes. ARPACK is capped at
+    _RESTARTS implicit restarts on 2I - L_s and _RESTARTS // _FILTER_DEGREE
+    on the filter; maxiter counts restarts, not products with L_s.
+    Eigenvector signs are fixed so the largest-magnitude entry of each
+    column is positive. ARPACK runs to tol=0: a single-vector Lanczos
     method finds further copies of a repeated eigenvalue only by rounding,
     once the first has converged, so a stop at tol can skip them. Besides
     residuals within tol, the result needs an eigenvalue within tol of 0
@@ -178,16 +179,13 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
         vals, vecs = vals[:n_e], vecs[:, :n_e]
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
-        ncv = min(n, max(2 * n_e + 1, 20))
-        max_matvecs = _MATVECS_PER_VECTOR * ncv
+        ncv = max(2 * n_e + 1, 20)
         if n * ncv >= _ORTH_PER_MATVEC * ls.nnz:
             bound = _ritz_bound(ls, v0, ncv, n_e)
         if bound is None:
-            op, maxiter = 2.0 * sp.identity(n, format="csr") - ls, max_matvecs // ncv
+            op, maxiter = 2.0 * sp.identity(n, format="csr") - ls, _RESTARTS
         else:
-            op = _chebyshev_filter(ls, bound)
-            maxiter = (max_matvecs - ncv) // (ncv * _FILTER_DEGREE)
-        maxiter = max(maxiter, 2)
+            op, maxiter = _chebyshev_filter(ls, bound), _RESTARTS // _FILTER_DEGREE
         try:
             theta, vecs = spla.eigsh(
                 op, k=n_e, which="LA", v0=v0, ncv=ncv, maxiter=maxiter, tol=0
@@ -196,7 +194,8 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
             best = None
             if exc.eigenvectors is not None and exc.eigenvectors.size:
                 best = _rayleigh(ls, exc.eigenvectors)[1]
-            message = f"eigensolver did not converge within {max_matvecs} matrix applications"
+            message = (f"eigensolver did not converge within {maxiter} restarts "
+                       f"of {ncv} Lanczos vectors")
             if n_parts > 1:
                 message += f"; the graph has {n_parts} connected components"
             raise EigensolverError(message, residuals=best) from exc

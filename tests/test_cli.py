@@ -481,6 +481,23 @@ class TestBench:
         assert (tmp_path / "bench.timings.json").exists()
         assert (tmp_path / "bench.txt").exists()
 
+    @pytest.mark.parametrize("config, n_seeds", [({}, 10), ({"seeds": 3}, 3)],
+                             ids=["library-default", "config-file"])
+    def test_seed_count(self, tmp_path, blob_files, capsys, config, n_seeds):
+        # without --seeds, run_benchmark's own default stands
+        features, labels = blob_files
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([
+            "--config", str(path), "bench", "--dataset", "csv",
+            "--features", str(features), "--labels", str(labels),
+            "--out", str(tmp_path / "bench"), "--n-e", "10", "--fidelity-per-class", "4",
+            "--dt", "1.0", "--weight", "gaussian", "--neighbors", "8", "--sigma", "1.0",
+        ]) == 0
+        assert f"mean accuracy over {n_seeds} seeds" in capsys.readouterr().out
+        report = json.loads((tmp_path / "bench.json").read_text())
+        assert report["seeds"] == list(range(n_seeds))
+
     @pytest.mark.parametrize("inputs, message", [
         pytest.param("none", "requires", id="no-inputs"),
         pytest.param("mismatched", "feature rows and label count differ", id="mismatched-csvs"),
@@ -497,13 +514,12 @@ class TestBench:
 
     def test_eigensolver_failure_exit_code(self, tmp_path, blob_files, capsys):
         # local scaling with N = 2, M = 1 cuts the blobs into five
-        # components; on that spectrum Lanczos does not converge within its
-        # 100 * ncv budget (2,100 products at n_e = 10), and the message says
-        # why. With N = 10 the blobs have three components, and converge
-        # within 2,000 products.
+        # components; on that spectrum the filtered Lanczos does not
+        # converge within its 25 restarts at n_e = 10, and the message says
+        # why. With N = 10 the blobs have three components, and converge.
         argv, out = stage_argv("bench", tmp_path, blob_files)
         assert main([*argv, "--weight", "local_scaling", "--neighbors", "2"]) == 3
         err = capsys.readouterr().err
-        assert "eigensolver did not converge within 2100 matrix applications" in err
+        assert "eigensolver did not converge within 25 restarts of 21 Lanczos vectors" in err
         assert "the graph has 5 connected components" in err
         assert not out.exists()

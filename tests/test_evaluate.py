@@ -98,17 +98,14 @@ class TestBenchmark:
         )
         r1 = run_benchmark(**kwargs)
         r2 = run_benchmark(**kwargs)
-        paths = [
-            (tmp_path / f"res{i}.json", tmp_path / f"tim{i}.json", tmp_path / f"tab{i}.txt")
-            for i in (1, 2)
-        ]
-        write_report(r1, *paths[0])
-        write_report(r2, *paths[1])
-        assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
-        data = json.loads(paths[0][0].read_text())
+        write_report(r1, tmp_path / "r1")
+        write_report(r2, tmp_path / "r2")
+        results = tmp_path / "r1.json"
+        assert results.read_bytes() == (tmp_path / "r2.json").read_bytes()
+        data = json.loads(results.read_text())
         assert "timings" not in data
         assert data["seeds"] == [0, 1, 2]
-        timings = json.loads(paths[0][1].read_text())
+        timings = json.loads((tmp_path / "r1.timings.json").read_text())
         assert len(timings["solver"]) == 3
 
     def test_table_output(self, blobs, tmp_path):
@@ -121,8 +118,7 @@ class TestBenchmark:
             mean_accuracy=0.975,
             timings={"graph": 0.0, "eigenvectors": 0.0, "solver": [0.0]},
         )
-        table = tmp_path / "table.txt"
-        write_report(report, tmp_path / "r.json", tmp_path / "t.json", table)
-        text = table.read_text()
+        write_report(report, tmp_path / "r")
+        text = (tmp_path / "r.txt").read_text()
         assert "97.50%" in text
         assert "mbo" in text

@@ -102,16 +102,30 @@ class TestExactSolver:
         assert np.all(exc.value.residuals > 1e-30)
 
     def test_matvec_budget_reports_non_convergence(self, moons_laplacian, monkeypatch):
-        # one product per Lanczos vector: a budget of ncv = 20
-        monkeypatch.setattr(spectral, "_MATVECS_PER_VECTOR", 1)
+        monkeypatch.setattr(spectral, "_RESTARTS", 2)
         with pytest.raises(
-            EigensolverError, match="did not converge within 20 matrix applications"
+            EigensolverError, match="did not converge within 2 restarts of 20 Lanczos vectors"
         ):
             smallest_eigenpairs(moons_laplacian, 5)
 
+    def test_restart_caps_reach_arpack(self, moons_laplacian, monkeypatch):
+        # moons 1.5k at n_e = 5 takes the 2I - L_s route, the 20 x 20
+        # lattice at n_e = 30 the filtered one
+        calls = []
+        inner = spectral.spla.eigsh
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", spy)
+        smallest_eigenpairs(moons_laplacian, 5)
+        smallest_eigenpairs(normalized_laplacian(lattice_graph(20)), 30)
+        assert [(c["maxiter"], c["ncv"]) for c in calls] == [(100, 20), (25, 61)]
+
     def test_one_eigenpair_within_the_default_budget(self):
-        # the default budget is 100 products per Lanczos vector: at n_e = 1
-        # ncv is 20, and 100 * n_e = 100 products do not converge here
+        # at n_e = 1 ncv is 20; a cap of 100 * n_e = 100 products, the
+        # budget of an earlier version, did not converge here
         moons = generate_three_moons(MoonsSpec(points_per_class=2000, seed=0))
         spec = WeightSpec(kind="local_scaling", neighbors=10, m_scale=17)
         lap = normalized_laplacian(knn_graph(moons.features, spec))
@@ -213,10 +227,10 @@ class TestFilteredSolver:
 
     def test_matvec_budget_reports_rayleigh_residuals(self, monkeypatch):
         lap = normalized_laplacian(lattice_graph(20))
-        # one product per Lanczos vector: a budget of ncv = 61
-        monkeypatch.setattr(spectral, "_MATVECS_PER_VECTOR", 1)
+        # 8 // _FILTER_DEGREE: two restarts on the filter
+        monkeypatch.setattr(spectral, "_RESTARTS", 8)
         with pytest.raises(
-            EigensolverError, match="did not converge within 61 matrix applications$"
+            EigensolverError, match="did not converge within 2 restarts of 61 Lanczos vectors$"
         ) as exc:
             smallest_eigenpairs(lap, 30)
         # the pairs ARPACK had converged, with L_s's Rayleigh quotients; the

@@ -26,9 +26,9 @@ __all__ = [
     "load_graph",
 ]
 
-# The float32 screening tiles are blocks of this many rows against blocks of
-# as many columns, and a batch of fallback rows holds at most its square of
-# full-row keys.
+# The float32 screen cuts the rows into near-equal blocks of at most this many
+# rows, unless the screens each row keeps need more, and a batch of fallback
+# rows holds at most its square of full-row keys.
 _BLOCK_ROWS = 512
 
 # Each row keeps this many screening keys beyond the k + 1 that selection
@@ -192,13 +192,16 @@ def _candidates(x, sq_norms, k):
     The screens are taken from y, the float32 copy of x * 2^-e, where 2^e is
     the power of two above every |x| entry, so that no screen overflows:
     (|y_i|^2 + |y_j|^2) - 2<y_i, y_j> for squared distances, -2<y_i, y_j>
-    for cosine ones. Each row keeps its c smallest as the tiles arrive, and
-    every column left out has a screen no smaller than the largest kept.
+    for cosine ones. The rows are cut into near-equal blocks of at most
+    _BLOCK_ROWS rows and at least c. Each row keeps its c smallest from its
+    own block, then from each later pair of blocks, multiplied and merged
+    once; every column left out has a screen no smaller than the largest kept.
     """
     n, dim = x.shape
     c = min(k + 1 + _SPARE_KEYS, n)
-    b = _BLOCK_ROWS
-    blocks = [(s, min(s + b, n)) for s in range(0, n, b)]
+    n_blocks = min(-(-n // _BLOCK_ROWS), n // c)  # n // c >= 1, as c <= n
+    edges = [i * n // n_blocks for i in range(n_blocks + 1)]  # near-equal blocks
+    blocks = list(zip(edges, edges[1:]))
     e = int(np.frexp(max(x.max(), -x.min()))[1])
     y = np.empty(x.shape, dtype=np.float32)
     norms = np.empty(n)  # |y_i| before the cast, in float64
@@ -208,7 +211,8 @@ def _candidates(x, sq_norms, k):
         y[r0:r1] = yb
     np.sqrt(norms, out=norms)
     y_sq = None if sq_norms is None else np.einsum("ij,ij->i", y, y)
-    gemm = np.empty(min(b, n) ** 2, dtype=np.float32)  # one tile, reused
+    widest = max(r1 - r0 for r0, r1 in blocks)
+    gemm = np.empty(widest**2, dtype=np.float32)  # one tile, reused
 
     def tile(r0, r1, c0, c1):
         g = gemm[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
@@ -227,22 +231,17 @@ def _candidates(x, sq_norms, k):
         best_keys[rows] = np.take_along_axis(cand_keys, part, axis=1)
         best_cols[rows] = np.take_along_axis(cand_cols, part, axis=1)
 
-    def offer(g, r0, c0, mirror):
-        """Merge the entries of tile g (rows r0.., columns c0..) that are below
-        their row's largest kept screen; with `mirror`, into the rows c0.. ."""
-        if mirror:
-            hit = g < best_keys[c0 : c0 + g.shape[1], -1]
-        else:
-            hit = g < best_keys[r0 : r0 + g.shape[0], -1, None]
-        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])  # 2-D nonzero is slower
-        if not i.size:
+    def offer(g, r0, c0):
+        """Merge each entry of tile g (rows r0.., columns c0.. past them) into
+        its row and its column's row, wherever below that row's largest kept."""
+        rw, cw = g.shape  # flat indices: 2-D nonzero is slower; g.T's group by column
+        ri, rj = np.divmod(np.flatnonzero(g < best_keys[r0 : r0 + rw, -1, None]), cw)
+        cj, ci = np.divmod(np.flatnonzero(g.T < best_keys[c0 : c0 + cw, -1, None]), rw)
+        if not (ri.size or cj.size):
             return
-        val = g[i, j]
-        if mirror:
-            order = np.argsort(j, kind="stable")
-            row, col, val = c0 + j[order], r0 + i[order], val[order]
-        else:
-            row, col = r0 + i, c0 + j
+        row = np.concatenate([r0 + ri, c0 + cj])  # sorted: block r0 ends before c0
+        col = np.concatenate([c0 + rj, r0 + ci])
+        val = np.concatenate([g[ri, rj], g[ci, cj]])
         rows, first, count = np.unique(row, return_index=True, return_counts=True)
         slot = np.repeat(np.arange(rows.size), count)
         at = c + np.arange(row.size) - first[slot]
@@ -254,21 +253,16 @@ def _candidates(x, sq_norms, k):
         cand_cols[slot, at] = col
         retain(rows, cand_keys, cand_cols)
 
-    for r0, r1 in blocks:  # seed each row from its own block, then take
-        g = tile(r0, r1, r0, r1)  # every other pair of blocks once
+    for r0, r1 in blocks:  # seed each row from its own block (at least c
+        g = tile(r0, r1, r0, r1)  # columns), then take every other pair once
         g[np.arange(r1 - r0), np.arange(r1 - r0)] = np.inf  # exclude self
-        if g.shape[1] < c:  # fewer columns than kept keys: pad with inf
-            g = np.pad(g, ((0, 0), (0, c - g.shape[1])), constant_values=np.inf)
-        cols = r0 + np.arange(g.shape[1]) % (r1 - r0)  # padding repeats columns
-        retain(slice(r0, r1), g, np.broadcast_to(cols, g.shape))
+        retain(slice(r0, r1), g, np.broadcast_to(np.arange(r0, r1), g.shape))
     for si, (r0, r1) in enumerate(blocks):
         for c0, c1 in blocks[si + 1 :]:
-            g = tile(r0, r1, c0, c1)
-            offer(g, r0, c0, False)
-            offer(g, r0, c0, True)
+            offer(tile(r0, r1, c0, c1), r0, c0)
 
     keys = _pair_keys(x, sq_norms, np.arange(n), best_cols)
-    keys[best_keys == np.inf] = np.inf  # itself, or padding
+    keys[best_keys == np.inf] = np.inf  # itself
     # The certificate. Let u = 2^-24, g_m = m u / (1 - m u), a = |y_i| and
     # M = max_j |y_j| in exact arithmetic; M >= 1/2. The float32 cast moves
     # |y_i - y_j| by at most u (|y_i| + |y_j|), the GEMM and the squared norms
@@ -307,7 +301,7 @@ def knn_graph(features, spec):
     k-th distance, is selected by `_nearest` from a full row of exact keys
     instead. The graph thus depends only on the features, not on BLAS
     blocking or thread count. The temporaries are the float32 copy of the
-    features, a few 512-row tiles, c keys and columns per row, and chunks
+    features, one screening tile, c keys and columns per row, and chunks
     of a few MiB for the exact keys.
     """
     features = np.ascontiguousarray(check_features(features))

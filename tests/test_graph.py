@@ -295,14 +295,17 @@ class TestMatchesFullSortReference:
             )
 
     # normal features give distances that integer features cannot: n = 300
-    # is one block holding the whole matrix, n = 1024 is two whole blocks,
-    # n = 1100 has a short last block of 76 rows, and n = 1500 at D = 100 a
-    # short last block of 476 rows
+    # is one block holding the whole matrix, n = 1024 is two blocks of 512
+    # rows, n = 1100 three of 366-367 rows, and n = 1500 at D = 100 three of
+    # 500 rows. n = 1030 is three blocks of 343-344 rows; blocks of 512 rows
+    # and a remainder would leave it a last block of 6 rows, fewer than the
+    # c = 11 or 16 screens each row keeps
     @pytest.mark.parametrize("n, dim", [
         pytest.param(300, 5, id="300"),
         pytest.param(1100, 5, id="1100"),
         pytest.param(1024, 5, id="1024"),
         pytest.param(1500, 100, id="1500-D100"),
+        pytest.param(1030, 5, id="1030"),
     ])
     @pytest.mark.parametrize("kind", ["gaussian", "local_scaling", "cosine"])
     def test_normal_features(self, n, dim, kind):
@@ -315,6 +318,14 @@ class TestMatchesFullSortReference:
             assert_matches_reference(
                 feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)
             )
+
+    def test_more_kept_screens_than_block_rows(self):
+        # k = 300 keeps c = 304 screens a row, more than the 300 rows that
+        # each of two blocks of n = 600 would hold, so the rows form one block
+        feats = np.random.default_rng(600).normal(size=(600, 5))
+        assert_matches_reference(
+            feats, WeightSpec(kind="local_scaling", neighbors=300, m_scale=12)
+        )
 
     @pytest.mark.parametrize(
         "spec",

@@ -124,7 +124,7 @@ def load_labels_csv(path):
             if not re.fullmatch(r"[+-]?[0-9]+", line):
                 raise ValueError(f"{path}:{lineno}: non-integer label")
             labels.append(int(line))
-            if labels[-1] < 0:
+            if not 0 <= labels[-1] <= np.iinfo(np.int64).max:
                 raise ValueError(f"{path}:{lineno}: label out of range")
     if not labels:
         raise ValueError(f"{path}: empty label file")

@@ -68,10 +68,14 @@ class SegmentResult:
     wall_time: float = field(default=0.0, compare=False)
 
 
-def check_fidelity(fidelity, cfg):
-    """Reject a fidelity set that is empty, misses a class, or is not at cfg.mu."""
+def check_fidelity(fidelity, cfg, n_vertices):
+    """Reject a fidelity set that is empty, has an index past the basis's
+    n_vertices, misses a class, or is not at cfg.mu."""
     if fidelity.indices.size == 0:
         raise ValueError("fidelity set must be nonempty")
+    beyond = fidelity.indices[fidelity.indices >= n_vertices]
+    if beyond.size:
+        raise ValueError(f"fidelity index {beyond[0]} is out of range for {n_vertices} vertices")
     if np.unique(fidelity.labels).size != fidelity.n_classes:
         raise ValueError("fidelity set must contain samples of every class")
     if fidelity.mu != cfg.mu:

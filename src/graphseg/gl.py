@@ -122,7 +122,7 @@ def gl_segment(basis, fidelity, cfg):
     or at max_iters (non-converged flag). Labels are the nearest simplex
     vertices of the final rows.
     """
-    check_fidelity(fidelity, cfg)
+    check_fidelity(fidelity, cfg, basis.n_vertices)
     start = time.perf_counter()
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, iterations, converged = iterate(

@@ -78,7 +78,7 @@ def mbo_segment(basis, fidelity, cfg):
     The stopping criterion is evaluated on the thresholded (vertex-valued)
     fields, so convergence means no node changes class.
     """
-    check_fidelity(fidelity, cfg)
+    check_fidelity(fidelity, cfg, basis.n_vertices)
     start = time.perf_counter()
     u0 = random_label_field(basis.n_vertices, fidelity, cfg.seed)
     u, iterations, converged = iterate(

@@ -245,6 +245,8 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
     completes the degrees by row sums of the Nystrom-completed matrix,
     normalizes, and eigendecomposes with the one-shot symmetric
     completion correction so the extended vectors come out orthonormal.
+    Raises LinAlgError when the normalized landmark block is near-singular
+    or a completed degree is nonpositive: a larger sample sometimes helps.
     """
     features = check_features(features)
     n = features.shape[0]
@@ -266,51 +268,43 @@ def nystrom_eigenpairs(features, spec, sample_size, n_e, seed=0):
     w_aa = 0.5 * (w_aa + w_aa.T)
     w_ab = _kernel_block(features, landmarks, rest, spec)
 
-    aa_vals = np.linalg.eigvalsh(w_aa)
-    if aa_vals[0] <= 1e-12 * max(aa_vals[-1], 1.0):
-        raise np.linalg.LinAlgError(
-            f"landmark kernel block is near-singular (min eigenvalue "
-            f"{aa_vals[0]:.3e}); try a larger sample_size"
-        )
-    w_aa_inv = np.linalg.inv(w_aa)
-
-    # degrees of the Nystrom-completed matrix [A B; B^T B^T A^{-1} B]
+    # one-shot orthogonalizing completion S = A + A^{-1/2} B B^T A^{-1/2} of
+    # the normalized blocks; A^{-1/2} also completes the degrees
     b_row = w_ab.sum(axis=1)
     d_a = w_aa.sum(axis=1) + b_row
-    d_b = w_ab.sum(axis=0) + w_ab.T @ (w_aa_inv @ b_row)
-    if np.any(d_b <= 0):
-        log.warning(
-            "Nystrom completion produced %d nonpositive approximate degrees; clipping",
-            int(np.sum(d_b <= 0)),
-        )
-        d_b = np.maximum(d_b, 1e-12)
-    all_d = np.concatenate([d_a, d_b])
-    log.debug("Nystrom: %d landmarks, degree range [%g, %g]",
-              sample_size, all_d.min(), all_d.max())
-
     inv_sqrt_a = 1.0 / np.sqrt(d_a)
-    inv_sqrt_b = 1.0 / np.sqrt(d_b)
     a_hat = w_aa * inv_sqrt_a[:, None] * inv_sqrt_a[None, :]
-    b_hat = w_ab * inv_sqrt_a[:, None] * inv_sqrt_b[None, :]
-
-    # one-shot orthogonalizing completion: S = A + A^{-1/2} B B^T A^{-1/2}
     ha_vals, ha_vecs = np.linalg.eigh(a_hat)
     if ha_vals[0] <= 1e-12 * max(ha_vals[-1], 1.0):
         raise np.linalg.LinAlgError(
             "normalized landmark block is near-singular; try a larger sample_size"
         )
     a_inv_half = (ha_vecs / np.sqrt(ha_vals)) @ ha_vecs.T
+
+    # degrees of the Nystrom-completed matrix [A B; B^T B^T A^{-1} B], with
+    # A^{-1} = D_a^{-1/2} A_hat^{-1} D_a^{-1/2}
+    a_inv_b = inv_sqrt_a * (a_inv_half @ (a_inv_half @ (inv_sqrt_a * b_row)))
+    d_b = w_ab.sum(axis=0) + w_ab.T @ a_inv_b
+    if np.any(d_b <= 0):
+        raise np.linalg.LinAlgError(
+            f"Nystrom completion gives {np.count_nonzero(d_b <= 0)} nonpositive "
+            "degrees; try a larger sample_size"
+        )
+    all_d = np.concatenate([d_a, d_b])
+    log.debug("Nystrom: %d landmarks, degree range [%g, %g]",
+              sample_size, all_d.min(), all_d.max())
+
+    b_hat = w_ab * inv_sqrt_a[:, None] * (1.0 / np.sqrt(d_b))[None, :]
     s = a_hat + a_inv_half @ (b_hat @ b_hat.T) @ a_inv_half
     s = 0.5 * (s + s.T)
     s_vals, s_vecs = np.linalg.eigh(s)
-    top = np.argsort(s_vals, kind="stable")[::-1][:n_e]
-    lam_w = s_vals[top]
+    lam_w = s_vals[::-1][:n_e]  # eigh is ascending
     if np.any(lam_w <= 0):
         raise np.linalg.LinAlgError(
             "completion matrix has nonpositive retained eigenvalues; "
             "try a larger sample_size"
         )
-    u = s_vecs[:, top]
+    u = s_vecs[:, ::-1][:, :n_e]
     ext = np.vstack([a_hat, b_hat.T]) @ (a_inv_half @ (u / np.sqrt(lam_w)[None, :]))
 
     vecs = np.empty((n, n_e))

@@ -167,6 +167,10 @@ class TestValidation:
         pytest.param("repeated", ["--nystrom", "--sample", "40", "--n-e", "5",
                                   "--weight", "gaussian", "--sigma", "3"], 2, "near-singular",
                      id="nystrom-near-singular"),
+        # 15 normal rows: 3 cosine landmarks complete 2 degrees to at most 0
+        pytest.param("normal", ["--nystrom", "--sample", "3", "--n-e", "1",
+                                "--weight", "cosine"], 2, "2 nonpositive degrees",
+                     id="nystrom-nonpositive-degrees"),
     ])
     def test_eigs_exit_codes(self, tmp_path, blob_files, source, flags, code, message, capsys):
         features, _ = blob_files
@@ -174,10 +178,13 @@ class TestValidation:
         if source == "graph":
             main(["graph", str(features), "--out", str(path),
                   "--weight", "gaussian", "--neighbors", "8"])
-        else:
+        elif source == "repeated":
             path = tmp_path / "repeated.csv"
             rows = np.random.default_rng(0).standard_normal((10, 4))
             save_features_csv(np.repeat(rows, 12, axis=0), path)
+        else:
+            path = tmp_path / "normal.csv"
+            save_features_csv(np.random.default_rng(8).normal(size=(15, 5)), path)
         capsys.readouterr()
         out = tmp_path / "e.txt"
         assert main(["eigs", str(path), "--out", str(out), *flags]) == code
@@ -438,6 +445,17 @@ class TestConfigFile:
         assert main(["graph", str(features), "--out", "flagged.npz", "--neighbors", "5"]) == 0
         assert (tmp_path / "g.npz").read_bytes() == (tmp_path / "flagged.npz").read_bytes()
 
+    def test_config_boolean_flag(self, tmp_path, blob_files):
+        # true stands for the bare flag
+        features, _ = blob_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"nystrom": True}))
+        common = ["eigs", str(features), "--sample", "40", "--n-e", "5", "--weight", "gaussian"]
+        configured, flagged = tmp_path / "configured.txt", tmp_path / "flagged.txt"
+        assert main(["--config", str(config), *common, "--out", str(configured)]) == 0
+        assert main([*common, "--nystrom", "--out", str(flagged)]) == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+
     def test_config_key_of_no_subcommand_rejected(self, tmp_path, blob_files, capsys):
         features, _ = blob_files
         config = tmp_path / "config.json"
@@ -511,6 +529,13 @@ class TestBench:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "b.json").exists()
+
+    def test_unconverged_solve_exit_code(self, tmp_path, blob_files, capsys):
+        # one MBO iteration cannot meet the stop test; the report is still written
+        argv, out = stage_argv("bench", tmp_path, blob_files)
+        assert main([*argv, "--max-iters", "1"]) == 3
+        assert "mean accuracy over 1 seeds" in capsys.readouterr().out
+        assert not any(json.loads(out.read_text())["converged"])
 
     def test_eigensolver_failure_exit_code(self, tmp_path, blob_files, capsys):
         # local scaling with N = 2, M = 1 cuts the blobs into five

@@ -93,9 +93,10 @@ class TestCsvIO:
         path.write_text("0\nfoo\n")
         with pytest.raises(ValueError, match=":2"):
             load_labels_csv(path)
-        path.write_text("-1\n")
-        with pytest.raises(ValueError, match="range"):
-            load_labels_csv(path)
+        for line in ("-1", "99999999999999999999"):  # the second overflows int64
+            path.write_text(f"0\n{line}\n")
+            with pytest.raises(ValueError, match="bad.csv:2: label out of range"):
+                load_labels_csv(path)
         # int() reads both as integers: 10, and the Arabic-Indic digit 3
         for line in ("1_0", "\u0663"):
             path.write_text(f"0\n{line}\n", encoding="utf-8")

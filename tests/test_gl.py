@@ -261,6 +261,9 @@ class TestSegment:
         fid = FidelitySet(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
         with pytest.raises(ValueError, match="every class"):
             gl_segment(moons_basis15, fid, GLConfig(n_e=15))
+        fid = FidelitySet(np.array([10, 1600, 1500]), np.array([0, 1, 2]), 3, 30.0)
+        with pytest.raises(ValueError, match="index 1600 is out of range for 1500 vertices"):
+            gl_segment(moons_basis15, fid, GLConfig(n_e=15))
         # the convexity bound c >= mu + 1/epsilon is checked against cfg.mu
         fid = FidelitySet(np.array([10, 600, 1100]), np.array([0, 1, 2]), 3, 300.0)
         with pytest.raises(ValueError, match="mu=300.0 differs from config mu=30.0"):

@@ -319,6 +319,14 @@ class TestMatchesFullSortReference:
                 feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12)
             )
 
+    def test_tile_without_screening_hits(self):
+        # two far-apart clusters of 515 rows: n = 1030 is three blocks of
+        # 343-344 rows, and blocks 0 and 2 lie in different clusters, so no
+        # entry of their tile is below any row's largest kept screen
+        rng = np.random.default_rng(1030)
+        feats = np.vstack([rng.normal(size=(515, 5)), rng.normal(size=(515, 5)) + 100.0])
+        assert_matches_reference(feats, WeightSpec(kind="local_scaling", neighbors=7, m_scale=12))
+
     def test_more_kept_screens_than_block_rows(self):
         # k = 300 keeps c = 304 screens a row, more than the 300 rows that
         # each of two blocks of n = 600 would hold, so the rows form one block
@@ -337,7 +345,7 @@ class TestMatchesFullSortReference:
     )
     def test_ties_across_blocks(self, spec):
         # a shuffled 40 x 40 lattice: most rows tie at the cut-off, and the
-        # tied neighbours of a row lie in other 512-row blocks, so the rows
+        # tied neighbours of a row lie in other 400-row blocks, so the rows
         # fall back to their full rows in every block
         grid = np.array([(x, y) for x in range(1, 41) for y in range(1, 41)], dtype=float)
         feats = grid[np.random.default_rng(9).permutation(len(grid))]

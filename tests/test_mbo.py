@@ -147,6 +147,9 @@ class TestSegment:
         partial = FidelitySet(np.array([0, 1]), np.array([0, 0]), 3, 30.0)
         with pytest.raises(ValueError, match="every class"):
             mbo_segment(basis, partial, MBOConfig(n_e=10))
+        beyond = FidelitySet(np.array([0, 40, 120]), np.array([0, 1, 2]), 3, 30.0)
+        with pytest.raises(ValueError, match="index 120 is out of range for 120 vertices"):
+            mbo_segment(basis, beyond, MBOConfig(n_e=10))
         labeled = FidelitySet(np.array([0, 40, 80]), np.array([0, 1, 2]), 3, 5.0)
         with pytest.raises(ValueError, match="mu=5.0 differs from config mu=30.0"):
             mbo_segment(basis, labeled, MBOConfig(n_e=10, mu=30.0))

@@ -288,6 +288,15 @@ class TestNystrom:
         with pytest.raises(np.linalg.LinAlgError, match="sample"):
             nystrom_eigenpairs(feats, spec, sample_size=20, n_e=3, seed=0)
 
+    def test_nonpositive_completed_degrees_rejected(self):
+        # 3 cosine landmarks complete 2 of the other 12 degrees to at most 0,
+        # and no normalized Laplacian has a nonpositive degree
+        feats = np.random.default_rng(8).normal(size=(15, 5))
+        spec = WeightSpec(kind="cosine", neighbors=3)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="gives 2 nonpositive degrees; try a larger sample_size"):
+            nystrom_eigenpairs(feats, spec, sample_size=3, n_e=1, seed=0)
+
     def test_cosine_full_sampling_matches_dense(self):
         # nonnegative rows, as term counts are, in more dimensions than there
         # are points: no similarity is clamped and the kernel is nonsingular

@@ -15,7 +15,9 @@ import json
 import os
 import sys
 
-from graphseg.graph import WEIGHT_KINDS
+import numpy as np
+
+from graphseg import data, evaluate, gl, graph, mbo, spectral
 
 EXIT_VALIDATION = 2
 EXIT_NONCONVERGENCE = 3
@@ -43,12 +45,10 @@ def _read_flags(args, read, unread=(), path=None):
 
 
 def _weight_spec(args):
-    from graphseg.graph import WeightSpec
-
     read = {"gaussian": ["sigma"], "local_scaling": ["m_scale"]}.get(args.weight, [])
     kwargs = _read_flags(args, read, [n for n in ("sigma", "m_scale") if n not in read],
                          f"with --weight {args.weight}")
-    return WeightSpec(kind=args.weight, neighbors=args.neighbors, **kwargs)
+    return graph.WeightSpec(kind=args.weight, neighbors=args.neighbors, **kwargs)
 
 
 def _write_manifest(path, payload):
@@ -58,24 +58,16 @@ def _write_manifest(path, payload):
 
 
 def cmd_graph(args):
-    from graphseg.data import load_features_csv
-    from graphseg.graph import knn_graph, save_graph
-
     spec = _weight_spec(args)
-    features = load_features_csv(args.features)
-    graph = knn_graph(features, spec)
-    save_graph(graph, args.out)
-    print(f"wrote {args.out}: {graph.n_vertices} vertices, {graph.n_edges} edges")
+    features = data.load_features_csv(args.features)
+    weights = graph.knn_graph(features, spec)
+    graph.save_graph(weights, args.out)
+    print(f"wrote {args.out}: {weights.n_vertices} vertices, {weights.n_edges} edges")
     return 0
 
 
 def cmd_eigs(args):
-    from graphseg.spectral import nystrom_eigenpairs, save_basis, smallest_eigenpairs
-
     if args.nystrom:
-        from graphseg.data import load_features_csv
-        from graphseg.graph import WeightSpec
-
         if args.sample is None:
             raise ValueError("--nystrom requires --sample")
         if args.weight not in ("gaussian", "cosine"):
@@ -84,60 +76,43 @@ def cmd_eigs(args):
         kwargs = _read_flags(args, ["sigma"] if gaussian else [],
                              ["tol"] if gaussian else ["tol", "sigma"],
                              f"with --nystrom --weight {args.weight}")
-        features = load_features_csv(args.input)
+        features = data.load_features_csv(args.input)
         # the Nystrom kernel is fully connected: no neighbor count
-        spec = WeightSpec(kind=args.weight, neighbors=1, **kwargs)
-        basis = nystrom_eigenpairs(features, spec, args.sample, args.n_e,
-                                   **_read_flags(args, ["seed"]))
+        spec = graph.WeightSpec(kind=args.weight, neighbors=1, **kwargs)
+        basis = spectral.nystrom_eigenpairs(features, spec, args.sample, args.n_e,
+                                            **_read_flags(args, ["seed"]))
     else:
-        from graphseg.graph import load_graph, normalized_laplacian
-
         kwargs = _read_flags(args, ["tol"], ["weight", "sigma", "sample", "seed"],
                              "without --nystrom")
-        graph = load_graph(args.input)
-        basis = smallest_eigenpairs(normalized_laplacian(graph), args.n_e, **kwargs)
-    save_basis(basis, args.out)
+        laplacian = graph.normalized_laplacian(graph.load_graph(args.input))
+        basis = spectral.smallest_eigenpairs(laplacian, args.n_e, **kwargs)
+    spectral.save_basis(basis, args.out)
     print(f"wrote {args.out}: {basis.n_e} eigenpairs ({basis.method})")
     return 0
 
 
 def _solver_config(args, n_e):
-    from graphseg.gl import GLConfig
-    from graphseg.mbo import MBOConfig
-
     shared = ["dt", "mu", "eta", "max_iters", "seed"]
     path = f"with --solver {args.solver}"
     if args.solver == "mbo":
-        return MBOConfig(n_e=n_e, **_read_flags(args, shared + ["n_s"], ["epsilon"], path))
-    return GLConfig(n_e=n_e, **_read_flags(args, shared + ["epsilon"], ["n_s"], path))
+        return mbo.MBOConfig(n_e=n_e, **_read_flags(args, shared + ["n_s"], ["epsilon"], path))
+    return gl.GLConfig(n_e=n_e, **_read_flags(args, shared + ["epsilon"], ["n_s"], path))
 
 
 def cmd_segment(args):
-    import numpy as np
-
-    from graphseg.data import load_labels_csv, save_labels_csv, sample_fidelity, LabeledDataset
-    from graphseg.gl import gl_segment
-    from graphseg.mbo import mbo_segment
-    from graphseg.spectral import load_basis
-
-    basis = load_basis(args.eigs)
-    labels = load_labels_csv(args.labels)
+    basis = spectral.load_basis(args.eigs)
+    labels = data.load_labels_csv(args.labels)
     if labels.size != basis.n_vertices:
         raise ValueError(
             f"label count {labels.size} does not match basis size {basis.n_vertices}"
         )
-    n_classes = int(labels.max()) + 1
-    dataset = LabeledDataset(
-        features=np.zeros((labels.size, 1)),
-        labels=labels,
-        n_classes=n_classes,
-    )
+    dataset = data.LabeledDataset(np.zeros((labels.size, 1)), labels, int(labels.max()) + 1)
     cfg = _solver_config(args, basis.n_e)
-    fidelity = sample_fidelity(dataset, args.fidelity_per_class, cfg.seed, cfg.mu)
-    segment = gl_segment if args.solver == "gl" else mbo_segment
+    fidelity = data.sample_fidelity(dataset, args.fidelity_per_class, cfg.seed, cfg.mu)
+    segment = gl.gl_segment if args.solver == "gl" else mbo.mbo_segment
     result = segment(basis, fidelity, cfg)
 
-    save_labels_csv(result.labels, args.out)
+    data.save_labels_csv(result.labels, args.out)
     manifest = {
         "command": "segment",
         "solver": args.solver,
@@ -164,8 +139,6 @@ def cmd_segment(args):
 
 
 def _load_dataset(args):
-    from graphseg import data
-
     reads = {"moons": ("data_seed",), "csv": ("features", "labels"),
              "mnist": ("mnist_images", "mnist_labels", "subset", "data_seed")}
     own = reads[args.dataset]
@@ -195,13 +168,12 @@ def _load_dataset(args):
 
 
 def cmd_bench(args):
-    from graphseg.evaluate import run_benchmark, write_report
-
     spec = _weight_spec(args)
     cfg = _solver_config(args, args.n_e)
-    report = run_benchmark(_load_dataset(args), spec, cfg, per_class=args.fidelity_per_class,
-                           **_read_flags(args, ["n_seeds"]))
-    write_report(report, args.out)
+    report = evaluate.run_benchmark(_load_dataset(args), spec, cfg,
+                                    per_class=args.fidelity_per_class,
+                                    **_read_flags(args, ["n_seeds"]))
+    evaluate.write_report(report, args.out)
     print(
         f"mean accuracy over {len(report.seeds)} seeds: {100.0 * report.mean_accuracy:.2f}%"
     )
@@ -211,7 +183,7 @@ def cmd_bench(args):
 
 
 def _add_weight_flags(p):
-    p.add_argument("--weight", choices=WEIGHT_KINDS, default="local_scaling",
+    p.add_argument("--weight", choices=graph.WEIGHT_KINDS, default="local_scaling",
                    help="cosine weights rank neighbors by cosine distance, "
                         "the others by Euclidean distance")
     p.add_argument("--sigma", type=float, help="gaussian weights only")
@@ -254,7 +226,7 @@ def build_parser():
     p.add_argument("--nystrom", action="store_true")
     p.add_argument("--sample", type=int, help="Nystrom landmark count")
     p.add_argument("--seed", type=int, help="Nystrom landmark seed")
-    p.add_argument("--weight", choices=WEIGHT_KINDS,
+    p.add_argument("--weight", choices=graph.WEIGHT_KINDS,
                    help="Nystrom kernel: gaussian or cosine (required with --nystrom)")
     p.add_argument("--sigma", type=float,
                    help="width of the gaussian Nystrom kernel")

@@ -29,6 +29,9 @@ __all__ = [
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# not int() alone: it also reads 1_0 and non-ASCII digits
+_LABEL_PATTERN = re.compile(r"[+-]?[0-9]+")
+_LABEL_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,19 @@ def load_features_csv(path):
             error = exc
     # loadtxt counts rows from 0 in one message and from 1 in another
     with open(path) as f:
-        rows = [(n, line.split(",")) for n, line in enumerate(f, start=1) if line != "\n"]
-    for lineno, cells in rows:
-        try:
-            # not float() alone: it also reads 1_0 and non-ASCII digits
-            if not all(cell.isascii() and "_" not in cell for cell in cells):
-                raise ValueError
-            [float(cell) for cell in cells]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from error
-        if len(cells) != len(rows[0][1]):
-            raise ValueError(f"{path}:{lineno}: ragged row") from error
+        rows = ((n, line.split(",")) for n, line in enumerate(f, start=1) if line != "\n")
+        width = None
+        for lineno, cells in rows:
+            try:
+                # not float() alone: it also reads 1_0 and non-ASCII digits
+                if not all(cell.isascii() and "_" not in cell for cell in cells):
+                    raise ValueError
+                [float(cell) for cell in cells]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from error
+            width = width or len(cells)
+            if len(cells) != width:
+                raise ValueError(f"{path}:{lineno}: ragged row") from error
     raise ValueError(f"{path}: {error}") from error
 
 
@@ -120,11 +125,10 @@ def load_labels_csv(path):
             line = line.strip()
             if not line:
                 continue
-            # not int() alone: it also reads 1_0 and non-ASCII digits
-            if not re.fullmatch(r"[+-]?[0-9]+", line):
+            if not _LABEL_PATTERN.fullmatch(line):
                 raise ValueError(f"{path}:{lineno}: non-integer label")
             labels.append(int(line))
-            if not 0 <= labels[-1] <= np.iinfo(np.int64).max:
+            if not 0 <= labels[-1] <= _LABEL_MAX:
                 raise ValueError(f"{path}:{lineno}: label out of range")
     if not labels:
         raise ValueError(f"{path}: empty label file")

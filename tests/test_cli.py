@@ -191,6 +191,17 @@ class TestValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_label_count_must_match_the_basis(self, tmp_path, blob_files, blobs, capsys):
+        argv, out = stage_argv("segment", tmp_path, blob_files)
+        short = tmp_path / "short.csv"
+        save_labels_csv(blobs.labels[:-1], short)
+        argv[2] = str(short)
+        capsys.readouterr()
+        assert main(argv) == 2
+        n = blobs.labels.size
+        assert f"label count {n - 1} does not match basis size {n}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_foreign_cache_file(self, tmp_path, blob_files, capsys):
         bogus = tmp_path / "bogus.txt"
         bogus.write_text("junk\n")
@@ -311,6 +322,8 @@ class TestValidation:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, named", [
+        pytest.param(["--nystrom", "--weight", "gaussian"], "--nystrom requires --sample",
+                     id="nystrom-no-sample"),
         pytest.param(["--nystrom", "--sample", "40"], "--weight gaussian", id="nystrom-default-weight"),
         pytest.param(["--nystrom", "--sample", "40", "--weight", "local_scaling"],
                      "--weight gaussian", id="nystrom-local-scaling"),
@@ -499,6 +512,16 @@ class TestBench:
         assert (tmp_path / "bench.timings.json").exists()
         assert (tmp_path / "bench.txt").exists()
 
+    def test_moons_dataset(self, tmp_path, capsys):
+        # the README's one-shot benchmark, at one seed
+        out = tmp_path / "moons_bench"
+        assert main(["bench", "--dataset", "moons", "--solver", "mbo", "--n-e", "20",
+                     "--seeds", "1", "--out", str(out)]) == 0
+        assert "mean accuracy over 1 seeds" in capsys.readouterr().out
+        report = json.loads((tmp_path / "moons_bench.json").read_text())
+        assert (report["seeds"], report["converged"]) == ([0], [True])
+        assert report["mean_accuracy"] >= 0.9
+
     @pytest.mark.parametrize("config, n_seeds", [({}, 10), ({"seeds": 3}, 3)],
                              ids=["library-default", "config-file"])
     def test_seed_count(self, tmp_path, blob_files, capsys, config, n_seeds):
@@ -516,12 +539,17 @@ class TestBench:
         report = json.loads((tmp_path / "bench.json").read_text())
         assert report["seeds"] == list(range(n_seeds))
 
-    @pytest.mark.parametrize("inputs, message", [
-        pytest.param("none", "requires", id="no-inputs"),
-        pytest.param("mismatched", "feature rows and label count differ", id="mismatched-csvs"),
+    @pytest.mark.parametrize("dataset, inputs, message", [
+        pytest.param("csv", "none", "--dataset csv requires --features and --labels",
+                     id="no-inputs"),
+        pytest.param("mnist", "none", "--dataset mnist requires --mnist-images and --mnist-labels",
+                     id="no-mnist-inputs"),
+        pytest.param("csv", "mismatched", "feature rows and label count differ",
+                     id="mismatched-csvs"),
     ])
-    def test_bad_dataset_inputs(self, tmp_path, blob_files, blobs, inputs, message, capsys):
-        argv = ["bench", "--dataset", "csv", "--out", str(tmp_path / "b")]
+    def test_bad_dataset_inputs(self, tmp_path, blob_files, blobs, dataset, inputs, message,
+                                capsys):
+        argv = ["bench", "--dataset", dataset, "--out", str(tmp_path / "b")]
         if inputs == "mismatched":
             labels = tmp_path / "short.csv"
             save_labels_csv(blobs.labels[:-1], labels)

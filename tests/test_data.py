@@ -87,12 +87,25 @@ class TestCsvIO:
             path.write_text(f"1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
             with pytest.raises(ValueError, match="bad.csv:2: non-numeric cell"):
                 load_features_csv(path)
+        # the bad cell on the last of many lines; the blank line is counted
+        path.write_text("1.0,2.0\n" * 3000 + "\n" + "1.0,2.0\n" * 3000 + "3.0,x\n")
+        with pytest.raises(ValueError, match="bad.csv:6002: non-numeric cell"):
+            load_features_csv(path)
+
+    def test_labels_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("0\n\n 2\n\n1\n")
+        assert np.array_equal(load_labels_csv(path), [0, 2, 1])
 
     def test_label_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0\nfoo\n")
         with pytest.raises(ValueError, match=":2"):
             load_labels_csv(path)
+        for text in ("", "\n \n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="bad.csv: empty label file"):
+                load_labels_csv(path)
         for line in ("-1", "99999999999999999999"):  # the second overflows int64
             path.write_text(f"0\n{line}\n")
             with pytest.raises(ValueError, match="bad.csv:2: label out of range"):
@@ -130,8 +143,18 @@ class TestIdxIO:
         ip, lp = tmp_path / "imgs", tmp_path / "lbls"
         ip.write_bytes(struct.pack(">4i", 0x803, 2, 2, 2) + b"\x00" * 5)
         write_idx_labels(np.array([0, 1], dtype=np.uint8), lp)
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="imgs: truncated IDX payload"):
             load_mnist_idx(ip, lp)
+        write_idx_images(np.zeros((2, 2, 2), dtype=np.uint8), ip)
+        lp.write_bytes(struct.pack(">2i", 0x801, 2) + b"\x00")
+        with pytest.raises(ValueError, match="lbls: truncated IDX payload"):
+            load_mnist_idx(ip, lp)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "imgs"
+        path.write_bytes(b"\x00\x00\x08\x03" + b"\x00" * 11)
+        with pytest.raises(ValueError, match="imgs: truncated IDX header"):
+            load_mnist_idx(path, path)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "imgs", tmp_path / "lbls"
@@ -212,3 +235,13 @@ def test_fidelity_set_builds_one_hot_targets_from_labels():
 def test_fidelity_set_rejects_bad_labels(labels):
     with pytest.raises(ValueError, match=r"label in \[0, n_classes\)"):
         FidelitySet([0, 1], labels, 3, 30.0)
+
+
+@pytest.mark.parametrize("indices, mu, message", [
+    pytest.param([1, 1], 30.0, "fidelity indices must be distinct", id="duplicate"),
+    pytest.param([-1, 0], 30.0, "fidelity indices must be nonnegative", id="negative"),
+    pytest.param([0, 1], -1.0, "mu must be nonnegative", id="negative-mu"),
+])
+def test_fidelity_set_rejects_bad_indices_and_mu(indices, mu, message):
+    with pytest.raises(ValueError, match=message):
+        FidelitySet(indices, [0, 1], 3, mu)

@@ -94,6 +94,10 @@ class TestEnergy:
         e_basis = multiclass_energy(u, basis, fid, 1.0)
         assert e_basis == pytest.approx(e_dense, rel=1e-10)
 
+    def test_field_rows_must_match_the_basis(self):
+        with pytest.raises(ValueError, match="field and basis dimensions do not match"):
+            multiclass_energy(np.full((3, 2), 0.5), no_smoothing(4), empty_fidelity(2), 1.0)
+
     def test_energy_matches_oracle_potential(self):
         rng = np.random.default_rng(21)
         u = rng.uniform(size=(10, 4))

@@ -212,6 +212,13 @@ class TestKnnGraph:
         feats = np.zeros((3, 2))
         with pytest.raises(ValueError, match="N_D"):
             knn_graph(feats, WeightSpec(kind="gaussian", neighbors=3, sigma=1.0))
+        with pytest.raises(ValueError, match="local scale index M=3 must be < N_D=3"):
+            knn_graph(feats, WeightSpec(kind="local_scaling", neighbors=2, m_scale=3))
+
+    @pytest.mark.parametrize("feats", [np.zeros(5), np.zeros((1, 3))], ids=["1-d", "one-row"])
+    def test_features_need_two_rows(self, feats):
+        with pytest.raises(ValueError, match="2-D array with at least 2 rows"):
+            knn_graph(feats, WeightSpec(kind="gaussian", neighbors=1, sigma=1.0))
 
     def test_degrees_match_edge_list_exactly(self):
         rng = np.random.default_rng(1)

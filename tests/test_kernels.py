@@ -21,7 +21,7 @@ from graphseg.gl import GLConfig, _row_l1_to_vertices, gl_segment, gl_step, well
 from graphseg.graph import WeightSpec, knn_graph, normalized_laplacian
 from graphseg.mbo import MBOConfig, mbo_diffusion_step, mbo_segment, mbo_step
 from graphseg.simplex import nearest_vertices, project_rows
-from graphseg.spectral import smallest_eigenpairs
+from graphseg.spectral import SpectralBasis, smallest_eigenpairs
 from oracles import (
     REFERENCE_KERNELS,
     nearest_vertices_reference,
@@ -274,3 +274,9 @@ def test_spectral_solve_has_the_bytes_of_the_direct_product(problem, order, requ
     x = basis.eigenvectors
     assert_same_bytes(spectral_solve(basis, basis.n_e, r, shift, scale),
                       x @ (w[:, None] * (x.T @ r)))
+
+
+def test_spectral_solve_rejects_a_field_of_other_rows():
+    basis = SpectralBasis(np.zeros(1), np.full((4, 1), 0.5), "exact")
+    with pytest.raises(ValueError, match="field and basis dimensions do not match"):
+        spectral_solve(basis, 1, np.zeros((3, 2)), 1.0, 1.0)

@@ -10,9 +10,10 @@ commands name their files by relative paths, because manifests record input
 paths as given. They build graph caches for the three weight kinds, exact
 and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
 0-3, GL labels at epsilon 2, one all-defaults `segment` run, a `bench`
-report and a graph from a config file named `graph`, like the subcommand,
-then run cases that must fail; one of them reads a one-key config file,
-one a labels file whose class 10 is written `1_0`, and one passes GL the
+report, the README's one-shot `bench --dataset moons` at one seed and a
+graph from a config file named `graph`, like the subcommand, then run
+cases that must fail; one of them reads a one-key config file, one a
+labels file whose class 10 is written `1_0`, and one passes GL the
 constant c, which follows from --mu and --epsilon. Files named
 *.timings.json hold wall times and are skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
@@ -50,6 +51,8 @@ COMMANDS = [
     ["segment", "exact.npz", "labels.csv", "--out", "gl-epsilon-2.csv", "--solver", "gl",
      "--epsilon", "2"],
     bench("labels.csv", "bench"),
+    ["bench", "--dataset", "moons", "--solver", "mbo", "--n-e", "20", "--seeds", "1", "--out",
+     "moons_bench"],
     ["--config", "graph", "graph", "features.csv", "--out", "config-named.npz"],
     # failures: none writes a file, except the stop at --max-iters
     ["segment", "exact.npz", "labels.csv", "--out", "stopped.csv", "--max-iters", "1"],

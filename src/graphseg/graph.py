@@ -386,8 +386,8 @@ def load_graph(path):
     n, rows, cols, weights = load_arrays(
         path, "edge cache", ("n_vertices", "rows", "cols", "weights"))
     # the degrees are summed at these indices, so check them here
-    if not (all(a.dtype.kind in "iu" for a in (n, rows, cols)) and n.shape == ()
-            and rows.shape == cols.shape == weights.shape == (weights.size,)
+    if not (all(a.dtype.kind in "iu" for a in (n, rows, cols)) and weights.dtype.kind in "iuf"
+            and n.shape == () and rows.shape == cols.shape == weights.shape == (weights.size,)
             and np.all((0 <= rows) & (rows < cols) & (cols < n))):
         raise ValueError(f"{path}: not a graphseg edge cache")
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):

@@ -139,7 +139,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
     shift-invert factorization is needed. Which operator depends on the
     input's cost ratio n * ncv / nnz(L_s), ncv being ARPACK's basis size:
 
-    - below 4, ARPACK runs on 2I - L_s and the eigenvalues are mapped back;
+    - below 4, ARPACK runs on 2I - L_s;
     - from 4 up, ARPACK's re-orthogonalization of each step against its
       n x ncv basis outweighs a sparse product, so each step applies a
       Chebyshev filter instead. A first ncv-step Lanczos pass with full
@@ -147,14 +147,15 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
       smallest Ritz value, which is at least lambda_{n_e} by Poincare
       separation. ARPACK then runs on T_m((cI - L_s)/e), which maps
       [a, 2] onto [-1, 1] and the wanted eigenvalues above 1, in fewer
-      steps of m sparse products each. The eigenvalues are the Rayleigh
-      quotients, and every one must lie below a, or the call raises
-      EigensolverError. If the first pass finds an invariant subspace,
-      the 2I - L_s route runs instead.
+      steps of m sparse products each. Every eigenvalue must lie below a,
+      or the call raises EigensolverError. If the first pass finds an
+      invariant subspace, the 2I - L_s route runs instead.
 
-    The two routes agree to rounding, not in bytes. ARPACK is capped at
-    _RESTARTS implicit restarts on 2I - L_s and _RESTARTS // _FILTER_DEGREE
-    on the filter; maxiter counts restarts, not products with L_s.
+    Every route, small graphs' dense LAPACK one too, returns eigenvectors
+    only; their Rayleigh quotients on L_s, sorted ascending, are the
+    eigenvalues. The routes agree to rounding, not in bytes. maxiter caps
+    ARPACK's implicit restarts, not its products with L_s: _RESTARTS on
+    2I - L_s, _RESTARTS // _FILTER_DEGREE on the filter.
     Eigenvector signs are fixed so the largest-magnitude entry of each
     column is positive. ARPACK runs to tol=0: a single-vector Lanczos
     method finds further copies of a repeated eigenvalue only by rounding,
@@ -174,9 +175,7 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
     bound = None  # set where the filtered route runs
     # ARPACK needs k < n and healthy subspace headroom; small problems go dense
     if n <= 3 * n_e + 10 or n < 64:
-        dense = ls.toarray()
-        vals, vecs = np.linalg.eigh(dense)
-        vals, vecs = vals[:n_e], vecs[:, :n_e]
+        vecs = np.linalg.eigh(ls.toarray())[1][:, :n_e]
     else:
         v0 = np.random.default_rng(0).standard_normal(n)
         ncv = max(2 * n_e + 1, 20)
@@ -187,9 +186,8 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
         else:
             op, maxiter = _chebyshev_filter(ls, bound), _RESTARTS // _FILTER_DEGREE
         try:
-            theta, vecs = spla.eigsh(
-                op, k=n_e, which="LA", v0=v0, ncv=ncv, maxiter=maxiter, tol=0
-            )
+            vecs = spla.eigsh(op, k=n_e, which="LA", v0=v0, ncv=ncv, maxiter=maxiter,
+                              tol=0)[1]
         except spla.ArpackNoConvergence as exc:
             best = None
             if exc.eigenvectors is not None and exc.eigenvectors.size:
@@ -199,15 +197,11 @@ def smallest_eigenpairs(laplacian, n_e, tol=1e-8):
             if n_parts > 1:
                 message += f"; the graph has {n_parts} connected components"
             raise EigensolverError(message, residuals=best) from exc
-        vals, residuals = (2.0 - theta, None) if bound is None else _rayleigh(ls, vecs)
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-        if bound is not None:
-            residuals = residuals[order]
 
-    if bound is None:
-        residuals = np.linalg.norm(ls @ vecs - vecs * vals, axis=0)
-    elif not np.all(vals < bound):
+    vals, residuals = _rayleigh(ls, vecs)
+    order = np.argsort(vals, kind="stable")
+    vals, vecs, residuals = vals[order], vecs[:, order], residuals[order]
+    if bound is not None and not np.all(vals < bound):
         raise EigensolverError(
             f"eigenvalue {vals.max():.6g} is not below the Krylov bound {bound:.6g}",
             residuals=residuals,

@@ -654,6 +654,21 @@ class TestEdgeCache:
         assert "edge weights must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "eigs.npz").exists()
 
+    @pytest.mark.parametrize("weights", [
+        pytest.param(np.array(["0.5", "1.0"]), id="string"),
+        pytest.param(np.array([0.5 + 0.5j, 1.0]), id="complex"),
+        pytest.param(np.array([True, True]), id="boolean"),
+    ])
+    def test_rejects_weights_that_are_not_real_numbers(self, tmp_path, capsys, weights):
+        g = SparseWeightGraph(3, np.array([0, 1]), np.array([1, 2]), weights)
+        path = tmp_path / "graph.npz"
+        save_graph(g, path)
+        with pytest.raises(ValueError, match="not a graphseg edge cache"):
+            load_graph(path)
+        assert main(["eigs", str(path), "--out", str(tmp_path / "eigs.npz"), "--n-e", "2"]) == 2
+        assert "not a graphseg edge cache" in capsys.readouterr().err
+        assert not (tmp_path / "eigs.npz").exists()
+
 
 def test_weight_spec_validation():
     with pytest.raises(ValueError):

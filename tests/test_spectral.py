@@ -82,6 +82,26 @@ class TestExactSolver:
         assert np.all(b.eigenvalues >= -1e-10)
         assert np.all(b.eigenvalues <= 2.0 + 1e-10)
 
+    @pytest.mark.parametrize("route", ["dense", "plain", "filtered"])
+    def test_eigenvalues_are_rayleigh_quotients(self, route, request):
+        # 50 vertices go dense, moons 1.5k at n_e = 20 takes 2I - L_s and
+        # the 20 x 20 lattice at n_e = 30 the Chebyshev filter
+        if route == "dense":
+            feats = np.random.default_rng(11).normal(size=(50, 4))
+            spec = WeightSpec(kind="gaussian", neighbors=6, sigma=1.5)
+            lap = normalized_laplacian(knn_graph(feats, spec))
+            basis = smallest_eigenpairs(lap, 8)
+        elif route == "plain":
+            lap = request.getfixturevalue("moons_laplacian")
+            basis = request.getfixturevalue("moons_basis20")
+        else:
+            lap = normalized_laplacian(lattice_graph(20))
+            basis = smallest_eigenpairs(lap, 30)
+        vecs = basis.eigenvectors
+        quotients = (np.einsum("ij,ij->j", vecs, lap.matrix @ vecs)
+                     / np.einsum("ij,ij->j", vecs, vecs))
+        assert np.max(np.abs(basis.eigenvalues - quotients)) <= 3e-15
+
     def test_connected_graph_kernel_vector(self, moons_laplacian, moons_basis20):
         assert moons_basis20.eigenvalues[0] <= 1e-10
         ref = np.sqrt(moons_laplacian.graph.degrees)

@@ -8,10 +8,13 @@ directory and runs `python3 -m graphseg.cli` there once per command, with
 the graphseg of the checkout the tool sits in and one BLAS thread. The
 commands name their files by relative paths, because manifests record input
 paths as given. They build graph caches for the three weight kinds, exact
-and Nystrom eigencaches, GL and MBO labels and manifests for fidelity seeds
-0-3, GL labels at epsilon 2, one all-defaults `segment` run, a `bench`
-report, the README's one-shot `bench --dataset moons` at one seed and a
-graph from a config file named `graph`, like the subcommand, then run
+eigencaches on each route of `smallest_eigenpairs` (2I - L_s at n_e = 20,
+the Chebyshev filter at n_e = 50, dense LAPACK on a graph of the first 60
+feature rows), a Nystrom eigencache, GL and MBO labels and manifests for
+fidelity seeds 0-3, GL labels at epsilon 2, one all-defaults `segment`
+run, a `bench` report, the README's one-shot `bench --dataset moons` at
+one seed and a graph from a config file named `graph`, like the
+subcommand, then run
 cases that must fail; one of them reads a one-key config file, one a
 labels file whose class 10 is written `1_0`, and one passes GL the
 constant c, which follows from --mu and --epsilon. Files named
@@ -42,6 +45,9 @@ COMMANDS = [
     ["graph", "features.csv", "--out", "gaussian.npz", "--weight", "gaussian", "--sigma", "2"],
     ["graph", "features.csv", "--out", "cosine.npz", "--weight", "cosine"],
     ["eigs", "local.npz", "--out", "exact.npz", *EXACT],
+    ["eigs", "local.npz", "--out", "filtered.npz", "--n-e", "50"],
+    ["graph", "head.csv", "--out", "head.npz"],
+    ["eigs", "head.npz", "--out", "head-eigs.npz", *EXACT],
     ["eigs", "features.csv", "--out", "nystrom.npz", *EXACT, "--nystrom", "--sample", "200",
      "--weight", "gaussian", "--sigma", "2"],
     *[["segment", "exact.npz", "labels.csv", "--out", f"{solver}-{seed}.csv",
@@ -99,6 +105,7 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         save_features_csv(moons.features, os.path.join(work, "features.csv"))
         save_labels_csv(moons.labels, os.path.join(work, "labels.csv"))
+        save_features_csv(moons.features[:60], os.path.join(work, "head.csv"))
         save_labels_csv(moons.labels[:-1], os.path.join(work, "short.csv"))
         with open(os.path.join(work, "epsilon.json"), "w") as f:
             f.write('{"epsilon": 2}\n')

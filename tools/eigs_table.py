@@ -8,8 +8,11 @@ Builds the benchmark's graphs (bench/workloads.py, imported read-only) at
 data seed 1: three moons at N = 1,500, 6,000 and 15,000 with the moons
 sweep's weights, each at n_e = 15, 20 and 50, and the K = 10 mixture at
 n_e = 20, 30 and 50. Each line holds the cost ratio n * ncv / nnz(L_s),
-the best of 3 `smallest_eigenpairs` times, lambda_{n_e} and the largest
-residual. The filtered route is taken from a ratio of 4 up.
+the best of 3 `smallest_eigenpairs` times, lambda_{n_e}, the largest
+residual, and the first 16 hex digits of the SHA-256 of the basis's
+eigenvalues (`vals`) and, separately, of its eigenvectors (`vecs`), so
+that two checkouts can be compared route by route in bytes. The filtered
+route is taken from a ratio of 4 up.
 
 One more, untimed call per preset runs with ARPACK's `eigsh` wrapped in
 this process, and the line gives what that call passed and applied: the
@@ -22,6 +25,7 @@ One BLAS thread; uses the graphseg of the checkout the tool sits in. Run
 it in two checkouts and divide the times to get the crossover.
 """
 
+import hashlib
 import os
 import sys
 import time
@@ -62,6 +66,10 @@ def counted_eigsh(spectral, lap, n_e, tol):
     return "filter", seen, applied, applied * spectral._FILTER_DEGREE + ncv
 
 
+def digest(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+
+
 def main():
     # BLAS pools are sized when numpy is first imported
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -96,7 +104,8 @@ def main():
             print(f"{name:<12} n_e {n_e:>2}  ratio {n * kwargs['ncv'] / ls.nnz:5.2f}"
                   f"  best {min(times):.4f} s  lambda {vals[-1]:.12f}"
                   f"  residual {residual:.2e}  {route:<6}  maxiter {kwargs['maxiter']:>3}"
-                  f"  ncv {kwargs['ncv']:>3}  applied {applied:>4}  products {products:>5}",
+                  f"  ncv {kwargs['ncv']:>3}  applied {applied:>4}  products {products:>5}"
+                  f"  vals {digest(vals)}  vecs {digest(vecs)}",
                   flush=True)
     return 0
 

@@ -51,12 +51,6 @@ def _weight_spec(args):
     return graph.WeightSpec(kind=args.weight, neighbors=args.neighbors, **kwargs)
 
 
-def _write_manifest(path, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def cmd_graph(args):
     spec = _weight_spec(args)
     features = data.load_features_csv(args.features)
@@ -129,8 +123,8 @@ def cmd_segment(args):
     }
     if args.solver == "gl":
         manifest["final_energy"] = result.final_energy
-    _write_manifest(args.out + ".manifest.json", manifest)
-    _write_manifest(args.out + ".timings.json", {"solver": result.wall_time})
+    evaluate.write_json(args.out + ".manifest.json", manifest)
+    evaluate.write_json(args.out + ".timings.json", {"solver": result.wall_time})
     if not result.converged:
         print("warning: solver did not converge within max iterations", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -192,6 +186,7 @@ def _add_weight_flags(p):
 
 
 def _add_solver_flags(p):
+    p.add_argument("--fidelity-per-class", type=int, default=25)
     p.add_argument("--solver", choices=["gl", "mbo"], default="mbo")
     p.add_argument("--epsilon", type=float, help="GL only")
     p.add_argument("--dt", type=float)
@@ -236,7 +231,6 @@ def build_parser():
     p.add_argument("eigs", help="eigencache file")
     p.add_argument("labels", help="ground-truth labels CSV (fidelity source)")
     p.add_argument("--out", required=True)
-    p.add_argument("--fidelity-per-class", type=int, default=25)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_segment)
 
@@ -245,7 +239,6 @@ def build_parser():
     p.add_argument("--out", default="benchmark")
     p.add_argument("--seeds", type=int, dest="n_seeds")
     p.add_argument("--n-e", type=int, default=20)
-    p.add_argument("--fidelity-per-class", type=int, default=25)
     p.add_argument("--features")
     p.add_argument("--labels")
     p.add_argument("--mnist-images")
@@ -312,12 +305,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
         args.configured = configured
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return EXIT_NONCONVERGENCE if isinstance(exc, FloatingPointError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

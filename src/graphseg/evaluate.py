@@ -22,6 +22,7 @@ __all__ = [
     "graph_tv",
     "BenchmarkReport",
     "run_benchmark",
+    "write_json",
     "write_report",
 ]
 
@@ -68,6 +69,8 @@ def run_benchmark(dataset, weight_spec, config, per_class, n_seeds=10):
     seed config.seed + i for both fidelity sampling and solver
     initialization.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     gl = isinstance(config, GLConfig)
     t0 = time.perf_counter()
     lap = normalized_laplacian(knn_graph(dataset.features, weight_spec))
@@ -98,17 +101,20 @@ def run_benchmark(dataset, weight_spec, config, per_class, n_seeds=10):
     )
 
 
+def write_json(path, payload):
+    """Write payload as JSON with sorted keys, indent 2 and a final newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def write_report(report, out):
     """Write the deterministic results to out.json, the timings to
     out.timings.json and a human-readable table to out.txt."""
     payload = asdict(report)
     timings = payload.pop("timings")
-    with open(f"{out}.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(f"{out}.timings.json", "w") as f:
-        json.dump(timings, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(f"{out}.json", payload)
+    write_json(f"{out}.timings.json", timings)
     lines = [
         f"solver: {report.solver}",
         f"mean accuracy: {100.0 * report.mean_accuracy:.2f}%",

@@ -558,6 +558,14 @@ class TestBench:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "b.json").exists()
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_rejected(self, tmp_path, blob_files, seeds, capsys):
+        # an empty run would report a NaN mean accuracy, which is not JSON
+        argv, out = stage_argv("bench", tmp_path, blob_files)
+        assert main([*argv, "--seeds", seeds]) == 2
+        assert f"error: n_seeds must be >= 1, got {seeds}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unconverged_solve_exit_code(self, tmp_path, blob_files, capsys):
         # one MBO iteration cannot meet the stop test; the report is still written
         argv, out = stage_argv("bench", tmp_path, blob_files)

@@ -88,6 +88,17 @@ class TestBenchmark:
         assert report.accuracies[0] >= 0.9
         assert set(report.timings) == {"graph", "eigenvectors", "solver"}
 
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_seed_count_below_one_rejected(self, blobs, monkeypatch, n_seeds):
+        # the count is checked before the graph is built
+        def no_graph(*args, **kwargs):
+            raise AssertionError("knn_graph was called")
+
+        monkeypatch.setattr("graphseg.evaluate.knn_graph", no_graph)
+        with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+            run_benchmark(blobs, self.spec, MBOConfig(n_e=10, dt=1.0), per_class=4,
+                          n_seeds=n_seeds)
+
     def test_results_reproducible_excluding_timings(self, blobs, tmp_path):
         kwargs = dict(
             dataset=blobs,

@@ -14,11 +14,11 @@ feature rows), a Nystrom eigencache, GL and MBO labels and manifests for
 fidelity seeds 0-3, GL labels at epsilon 2, one all-defaults `segment`
 run, a `bench` report, the README's one-shot `bench --dataset moons` at
 one seed and a graph from a config file named `graph`, like the
-subcommand, then run
-cases that must fail; one of them reads a one-key config file, one a
-labels file whose class 10 is written `1_0`, and one passes GL the
-constant c, which follows from --mu and --epsilon. Files named
-*.timings.json hold wall times and are skipped.
+subcommand, then run cases that must fail; one of them reads a one-key
+config file, one a labels file whose class 10 is written `1_0`, one passes
+GL the constant c, which follows from --mu and --epsilon, and one asks
+`bench` for no seeds. Files named *.timings.json hold wall times and are
+skipped.
 Run it in two checkouts and diff the outputs. Uses the standard library and
 graphseg only.
 """
@@ -80,6 +80,7 @@ COMMANDS = [
     bench("labels.csv", "few", "--fidelity-per-class", "600"),
     bench("short.csv", "short"),
     bench("labels.csv", "data-seed", "--data-seed", "7"),
+    ["bench", "--dataset", "moons", "--seeds", "0", "--out", "empty"],
     ["--config", "missing.json", "graph", "features.csv", "--out", "config.npz"],
     ["graph", "features.csv", "--out", "no-such-dir/g.npz"],
     ["graph", "features.csv", "--out", "."],
